@@ -109,31 +109,23 @@ class SingleStore final : public Store {
   void engine_snapshot(std::size_t, SnapshotDone done) override {
     // Adapt the snapshot completion onto the mutate-shaped pending slot:
     // the abort path reports (0, failed) which maps to (nullptr, 0). The
-    // merged map is only BORROWED through the slot — the engine's list
+    // view is only BORROWED through the slot — the engine's snapshot
     // callback runs `complete` synchronously, so the pointer parked in
     // `result` is alive exactly when the armed done reads it.
-    struct Parked {
-      const std::map<std::string, kv::KvEntry>* merged = nullptr;
-      kv::ReadOrigin origin;
-    };
     auto result = std::make_shared<Parked>();
-    MutateDone complete =
-        arm([result, done = std::move(done)](Timestamp ts, bool failed) {
-          done(failed ? nullptr : result->merged, failed ? 0 : ts,
-               failed ? kv::ReadOrigin{} : result->origin);
-        });
+    MutateDone complete = arm_snapshot(result, std::move(done));
     if (!dispatch([this, result, complete]() mutable {
           if (faust_.failed()) {
             complete(0, /*failed=*/true);
             return;
           }
-          kv_.list_ex(/*bypass_cache=*/false,
-                      [result, complete](const std::map<std::string, kv::KvEntry>& m,
-                                         Timestamp ts, const kv::ReadOrigin& origin) {
-                        result->merged = &m;
-                        result->origin = origin;
-                        complete(ts, /*failed=*/false);
-                      });
+          kv_.snapshot(/*bypass_cache=*/false,
+                       [result, complete](const kv::MergedView& view, Timestamp ts,
+                                          const kv::ReadOrigin& origin) {
+                         result->view = &view;
+                         result->origin = origin;
+                         complete(ts, /*failed=*/false);
+                       });
         })) {
       complete(0, /*failed=*/true);  // runtime stopped: the body never runs
     }
@@ -141,25 +133,17 @@ class SingleStore final : public Store {
 
   void engine_degraded_snapshot(std::size_t, SnapshotDone done) override {
     // Same borrowed-pointer parking as engine_snapshot; the engine's
-    // degraded path either delivers a fully cache-served map or null.
-    struct Parked {
-      const std::map<std::string, kv::KvEntry>* merged = nullptr;
-      kv::ReadOrigin origin;
-    };
+    // degraded path either delivers a fully cache-served view or null.
     auto result = std::make_shared<Parked>();
-    MutateDone complete =
-        arm([result, done = std::move(done)](Timestamp ts, bool failed) {
-          done(failed ? nullptr : result->merged, failed ? 0 : ts,
-               failed ? kv::ReadOrigin{} : result->origin);
-        });
+    MutateDone complete = arm_snapshot(result, std::move(done));
     if (!dispatch([this, result, complete]() mutable {
-          kv_.snapshot_degraded([result, complete](const std::map<std::string, kv::KvEntry>* m,
-                                                   Timestamp ts, const kv::ReadOrigin& origin) {
-            if (m == nullptr) {
+          kv_.snapshot_degraded([result, complete](const kv::MergedView* view, Timestamp ts,
+                                                   const kv::ReadOrigin& origin) {
+            if (view == nullptr) {
               complete(0, /*failed=*/true);
               return;
             }
-            result->merged = m;
+            result->view = view;
             result->origin = origin;
             complete(ts, /*failed=*/false);
           });
@@ -169,6 +153,20 @@ class SingleStore final : public Store {
   }
 
  private:
+  /// A snapshot's borrowed view, parked between the engine callback and
+  /// the armed completion that reads it.
+  struct Parked {
+    const kv::MergedView* view = nullptr;
+    kv::ReadOrigin origin;
+  };
+
+  MutateDone arm_snapshot(const std::shared_ptr<Parked>& result, SnapshotDone done) {
+    return arm([result, done = std::move(done)](Timestamp ts, bool failed) {
+      done(failed ? nullptr : result->view, failed ? 0 : ts,
+           failed ? kv::ReadOrigin{} : result->origin);
+    });
+  }
+
   /// Runs `body` in the deployment's execution context: inline when the
   /// caller drives a sim::Scheduler, post()ed when the cluster lives on a
   /// threaded runtime (FaustClient state is only touched by its thread).

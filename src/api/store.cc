@@ -324,8 +324,7 @@ void Store::run_step(std::size_t s, std::size_t step_index,
   const bool degraded = step.degraded;
   const auto snapshot_complete =
       [this, s, step_index, plan, ctx, degraded](
-          const std::map<std::string, kv::KvEntry>* merged, Timestamp read_ts,
-          const kv::ReadOrigin& origin) {
+          const kv::MergedView* merged, Timestamp read_ts, const kv::ReadOrigin& origin) {
         const bool failed = merged == nullptr;
         const Timestamp cut = (!failed && read_ts > 0) ? stable_ts(s) : 0;
         {
@@ -344,8 +343,7 @@ void Store::run_step(std::size_t s, std::size_t step_index,
                                 : Status::kOk;
               g.read_ts = read_ts;
               if (!failed) {
-                const auto it = merged->find(op.key);
-                if (it != merged->end()) g.entry = it->second;
+                g.entry = merged->find(op.key);
                 g.cached = origin.cached;
                 g.as_of = origin.as_of;
                 // Stability claims never attach to cache-served views: a
@@ -358,7 +356,7 @@ void Store::run_step(std::size_t s, std::size_t step_index,
               if (failed) {
                 acc.acc.complete = false;
               } else {
-                for (const auto& [key, entry] : *merged) {
+                for (const auto& [key, entry] : merged->all()) {
                   // Home-shard filter: a key can only appear in a foreign
                   // shard's registers under a misbehaving party; it must
                   // not shadow the home shard's authoritative entry.

@@ -492,21 +492,23 @@ class Store {
   virtual void engine_mutate(std::size_t shard, std::vector<kv::KvClient::SeqChange> changes,
                              MutateDone done) = 0;
 
-  /// `done(merged, read_ts, origin)` — one full merged snapshot of shard
-  /// `s` (null when the shard failed). The map is BORROWED: valid only
-  /// for the duration of the callback (it may be the engine's merged-view
-  /// memo, served without a copy — a batch's gets read it in place and
-  /// only kList contributions copy out of it). `origin` is the snapshot's
-  /// cache provenance (kv::ReadOrigin).
-  using SnapshotDone = std::function<void(const std::map<std::string, kv::KvEntry>*,
-                                          Timestamp, const kv::ReadOrigin&)>;
+  /// `done(view, read_ts, origin)` — one snapshot of shard `s` as a
+  /// kv::MergedView over the n verified partitions it observed (null when
+  /// the shard failed). The view is BORROWED: valid only for the duration
+  /// of the callback. A batch's gets look their keys up in it (find: n
+  /// binary searches, no merge); only kList contributions read the merged
+  /// map (all), which is built once and memoized while the shard's
+  /// registers stay unchanged. `origin` is the snapshot's cache
+  /// provenance (kv::ReadOrigin).
+  using SnapshotDone =
+      std::function<void(const kv::MergedView*, Timestamp, const kv::ReadOrigin&)>;
   virtual void engine_snapshot(std::size_t shard, SnapshotDone done) = 0;
 
   /// D10 graceful degradation: a cache-only snapshot of shard `s`, taken
   /// while its breaker is open — the shard itself is NOT contacted.
   /// Backends with a cache tier override this to serve expired-but-held
   /// entries (flagged via origin.cached/as_of); the default reports the
-  /// shard unreachable (null map → Status::kUnavailable).
+  /// shard unreachable (null view → Status::kUnavailable).
   virtual void engine_degraded_snapshot(std::size_t shard, SnapshotDone done) {
     (void)shard;
     done(nullptr, 0, kv::ReadOrigin{});

@@ -107,6 +107,46 @@ std::optional<std::map<std::string, std::pair<std::string, std::uint64_t>>> deco
   return m;
 }
 
+std::optional<KvEntry> MergedView::find(std::string_view key) const {
+  const PartitionEntry* best = nullptr;
+  ClientId best_writer = 0;
+  for (std::size_t slot = 0; slot < parts_.size(); ++slot) {
+    if (!parts_[slot]) continue;
+    const Partition& p = *parts_[slot];
+    const auto it = std::lower_bound(
+        p.begin(), p.end(), key,
+        [](const PartitionEntry& e, std::string_view k) { return e.key < k; });
+    if (it == p.end() || it->key != key) continue;
+    const ClientId j = static_cast<ClientId>(slot + 1);
+    // Winner: lexicographically largest (seq, writer).
+    if (best == nullptr || it->seq > best->seq || (it->seq == best->seq && j > best_writer)) {
+      best = &*it;
+      best_writer = j;
+    }
+  }
+  if (best == nullptr) return std::nullopt;
+  return KvEntry{best->value, best_writer, best->seq};
+}
+
+const MergedView::Map& MergedView::all() const {
+  if (merged_) return *merged_;
+  auto merged = std::make_shared<Map>();
+  for (std::size_t slot = 0; slot < parts_.size(); ++slot) {
+    if (!parts_[slot]) continue;
+    const ClientId j = static_cast<ClientId>(slot + 1);
+    for (const PartitionEntry& e : *parts_[slot]) {
+      auto [it, inserted] = merged->try_emplace(e.key);
+      // Winner: lexicographically largest (seq, writer) — find()'s rule.
+      if (inserted || e.seq > it->second.seq ||
+          (e.seq == it->second.seq && j > it->second.writer)) {
+        it->second = KvEntry{e.value, j, e.seq};
+      }
+    }
+  }
+  merged_ = std::move(merged);
+  return *merged_;
+}
+
 KvClient::KvClient(FaustClient& faust, KvTuning tuning)
     : faust_(faust),
       tuning_(tuning),
@@ -368,10 +408,7 @@ void KvClient::publish(PutHandler done) {
   });
 }
 
-void KvClient::snapshot(
-    std::function<void(const std::map<std::string, KvEntry>&, Timestamp, const ReadOrigin&)>
-        done,
-    bool bypass_cache) {
+void KvClient::snapshot(bool bypass_cache, ViewHandler done) {
   // Read all n partitions sequentially (the FAUST client runs one op at a
   // time anyway), folding each result as it arrives.
   auto snap = std::make_shared<Snapshot>();
@@ -504,13 +541,13 @@ void KvClient::snapshot_degraded(DegradedHandler done) {
             return;
           }
         }
-        snap->done = [done = std::move(done)](const std::map<std::string, KvEntry>& merged,
-                                              Timestamp ts, const ReadOrigin& origin) {
-          done(&merged, ts, origin);
+        snap->done = [done = std::move(done)](const MergedView& view, Timestamp ts,
+                                              const ReadOrigin& origin) {
+          done(&view, ts, origin);
         };
         // No engine read ran (max_read_ts == 0, no fills owed): the
-        // shared finisher merges, reports ts = the cache freshness
-        // horizon, and leaves the stability anchor untouched.
+        // shared finisher builds the view, reports ts = the cache
+        // freshness horizon, and leaves the stability anchor untouched.
         finish_snapshot(snap);
       },
       /*allow_stale=*/true);
@@ -593,33 +630,24 @@ void KvClient::finish_snapshot(const std::shared_ptr<Snapshot>& snap) {
   // freshness horizon instead (see GetExHandler).
   const Timestamp ts = snap->max_read_ts > 0 ? snap->max_read_ts : origin.as_of;
   if (snap->tried_cache && snap->max_read_ts == 0) ++snapshots_cached_;
-  if (tuning_.decode_memo && merged_cache_ && snap->fps == merged_fps_) {
-    // Every register returned the same verified content the cached merge
-    // was built from: serve it without merging (the read-heavy steady
-    // state of a get).
-    ++merged_cache_hits_;
-    const auto cache = merged_cache_;  // pin across the user callback
-    snap->done(*cache, ts, origin);
+  if (!tuning_.decode_memo) {
+    snap->done(MergedView(std::move(snap->parts)), ts, origin);
     return;
   }
-  auto merged = std::make_shared<std::map<std::string, KvEntry>>();
-  for (std::size_t slot = 0; slot < snap->parts.size(); ++slot) {
-    if (!snap->parts[slot]) continue;
-    const ClientId j = static_cast<ClientId>(slot + 1);
-    for (const PartitionEntry& e : *snap->parts[slot]) {
-      auto [it, inserted] = merged->try_emplace(e.key);
-      // Winner: lexicographically largest (seq, writer).
-      if (inserted || e.seq > it->second.seq ||
-          (e.seq == it->second.seq && j > it->second.writer)) {
-        it->second = KvEntry{e.value, j, e.seq};
-      }
-    }
+  const std::shared_ptr<MergedMemo> memo = merged_memo_;  // pinned across the callback
+  if (snap->fps == memo->fps) {
+    // Every register returned the same verified content as the memoized
+    // snapshot: a list replays its merged map instead of merging again.
+    ++merged_cache_hits_;
+  } else {
+    memo->fps = snap->fps;
+    memo->map.reset();
   }
-  if (tuning_.decode_memo) {
-    merged_cache_ = merged;
-    merged_fps_ = snap->fps;
-  }
-  snap->done(*merged, ts, origin);
+  const MergedView view(std::move(snap->parts), memo->map);
+  snap->done(view, ts, origin);
+  // Memoize a map the callback had all() build, unless the memo moved on
+  // to another snapshot meanwhile.
+  if (!memo->map && view.built() && memo->fps == snap->fps) memo->map = view.built();
 }
 
 void KvClient::get(const std::string& key, GetHandler done) {
@@ -635,24 +663,17 @@ void KvClient::list(ListHandler done) {
 }
 
 void KvClient::get_ex(const std::string& key, bool bypass_cache, GetExHandler done) {
-  snapshot(
-      [key, done = std::move(done)](const std::map<std::string, KvEntry>& merged, Timestamp ts,
-                                    const ReadOrigin& origin) {
-        const auto it = merged.find(key);
-        if (it == merged.end()) {
-          done(std::nullopt, ts, origin);
-        } else {
-          done(it->second, ts, origin);
-        }
-      },
-      bypass_cache);
+  snapshot(bypass_cache,
+           [key, done = std::move(done)](const MergedView& view, Timestamp ts,
+                                         const ReadOrigin& origin) {
+             done(view.find(key), ts, origin);
+           });
 }
 
 void KvClient::list_ex(bool bypass_cache, ListExHandler done) {
-  snapshot(
-      [done = std::move(done)](const std::map<std::string, KvEntry>& merged, Timestamp ts,
-                               const ReadOrigin& origin) { done(merged, ts, origin); },
-      bypass_cache);
+  snapshot(bypass_cache,
+           [done = std::move(done)](const MergedView& view, Timestamp ts,
+                                    const ReadOrigin& origin) { done(view.all(), ts, origin); });
 }
 
 }  // namespace faust::kv

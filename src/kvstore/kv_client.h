@@ -17,12 +17,15 @@
 // tracks the CHANGE SET, not the keyspace. A put patches the single
 // affected entry's bytes in the kept canonical encoding (the sorted-key
 // format makes splice offsets computable) and, under chunked DATA
-// digests, re-hashes only the touched chunks; a get whose registers
-// return unchanged verified (writer, timestamp, digest) triples skips
-// decoding — and when EVERY register is unchanged, the whole merge — via
-// version-keyed memos. KvTuning::{incremental_encode, decode_memo} force
-// the legacy full-reencode/full-decode paths for differential comparison;
-// published bytes and merged views are identical in both modes.
+// digests, re-hashes only the touched chunks; a register read that
+// returns unchanged verified (writer, digest) content skips decoding via
+// a version-keyed memo. A snapshot is handed out as a MergedView over
+// the n decoded partitions it observed: a get is n binary searches and
+// never merges; only a list builds the merged map, which is memoized
+// until some register changes. KvTuning::{incremental_encode,
+// decode_memo} force the legacy full-reencode/full-decode paths for
+// differential comparison; published bytes and merged views are
+// identical in both modes.
 #pragma once
 
 #include <algorithm>
@@ -96,6 +99,37 @@ Bytes encode_map(const std::map<std::string, std::pair<std::string, std::uint64_
 std::optional<std::map<std::string, std::pair<std::string, std::uint64_t>>> decode_map(
     BytesView data);
 
+/// The merged view of one snapshot: the n verified, memoized decoded
+/// partitions it observed, merged on demand. The merge rule is the KV
+/// layer's one conflict rule — per key, the entry with the
+/// lexicographically largest (seq, writer) pair wins — applied either to
+/// one key (find) or to every key (all).
+class MergedView {
+ public:
+  using Map = std::map<std::string, KvEntry>;
+
+  /// `parts[j-1]` is writer j's partition (null = ⊥). `merged`, when
+  /// given, must be the merge of exactly these partitions (a memo).
+  explicit MergedView(std::vector<std::shared_ptr<const Partition>> parts,
+                      std::shared_ptr<const Map> merged = nullptr)
+      : parts_(std::move(parts)), merged_(std::move(merged)) {}
+
+  /// The winning entry for `key`: one binary search per partition, no
+  /// merge.
+  std::optional<KvEntry> find(std::string_view key) const;
+
+  /// The full merged map, built on the first call (unless the view was
+  /// seeded with a memo) and kept for the view's lifetime.
+  const Map& all() const;
+
+  /// The map all() built or the view was seeded with; null until then.
+  const std::shared_ptr<const Map>& built() const { return merged_; }
+
+ private:
+  std::vector<std::shared_ptr<const Partition>> parts_;
+  mutable std::shared_ptr<const Map> merged_;
+};
+
 /// Performance knobs (NOT semantics: both settings of each produce
 /// byte-identical publications and identical merged views — the
 /// differential tests replay both). Defaults are the fast paths; the
@@ -106,8 +140,8 @@ struct KvTuning {
   /// behaviour).
   bool incremental_encode = true;
   /// Cache decoded partitions per writer keyed by the VERIFIED (writer,
-  /// timestamp, digest) triple, plus the merged view keyed by all n
-  /// triples (false: re-decode and re-merge every snapshot).
+  /// digest) pair, plus the merged map keyed by all n pairs (false:
+  /// re-decode every snapshot and re-merge every list).
   bool decode_memo = true;
 };
 
@@ -129,6 +163,9 @@ class KvClient {
       std::function<void(std::optional<KvEntry>, Timestamp, const ReadOrigin&)>;
   using ListExHandler =
       std::function<void(const std::map<std::string, KvEntry>&, Timestamp, const ReadOrigin&)>;
+  /// A whole snapshot as a MergedView (borrowed: valid only within the
+  /// callback), with the same read_ts/origin contract as GetExHandler.
+  using ViewHandler = std::function<void(const MergedView&, Timestamp, const ReadOrigin&)>;
 
   /// Borrows `faust`; the caller keeps it alive. Multiple KvClients must
   /// not share one FaustClient. The DATA digest mode is read off the
@@ -169,9 +206,9 @@ class KvClient {
   /// them.
   void apply_with_seqs(const std::vector<SeqChange>& changes, PutHandler done = {});
 
-  /// Merged lookup across all n partitions (issues n register reads; an
-  /// unchanged snapshot is served from the merged-view memo without
-  /// decoding or copying anything).
+  /// Merged lookup across all n partitions: n register reads, then one
+  /// binary search per decoded partition (no merge; an unchanged register
+  /// is not even re-decoded).
   void get(const std::string& key, GetHandler done);
 
   /// Full merged snapshot across all partitions. The map reference is
@@ -185,13 +222,18 @@ class KvClient {
   void get_ex(const std::string& key, bool bypass_cache, GetExHandler done);
   void list_ex(bool bypass_cache, ListExHandler done);
 
-  /// D10 degraded snapshot handler: `merged` is null when the cache could
+  /// The snapshot under get/list: collects all n registers — through the
+  /// cache hop first when one is attached and not bypassed — and hands
+  /// the view to `done`. Any number of point lookups (find) and merged
+  /// listings (all) can be served from one view.
+  void snapshot(bool bypass_cache, ViewHandler done);
+
+  /// D10 degraded snapshot handler: `view` is null when the cache could
   /// not serve EVERY register (the degraded read is unavailable, not
-  /// silently partial); otherwise the map is valid only within the
+  /// silently partial); otherwise the view is valid only within the
   /// callback, `ts` is the cache freshness horizon and `origin.cached` is
   /// always true.
-  using DegradedHandler =
-      std::function<void(const std::map<std::string, KvEntry>*, Timestamp, const ReadOrigin&)>;
+  using DegradedHandler = std::function<void(const MergedView*, Timestamp, const ReadOrigin&)>;
 
   /// Cache-ONLY merged snapshot for when the home shard is unreachable
   /// (DESIGN.md D10): one allow_stale bulk lookup — expired-but-held
@@ -253,7 +295,8 @@ class KvClient {
   /// version-keyed memo.
   std::uint64_t decode_memo_hits() const { return decode_memo_hits_; }
   std::uint64_t decode_memo_misses() const { return decode_memo_misses_; }
-  /// Snapshots served whole from the merged-view memo (no merge ran).
+  /// Snapshots whose n verified fingerprints matched the merged-view memo
+  /// (nothing re-decoded; a list replays the memoized merged map).
   std::uint64_t merged_cache_hits() const { return merged_cache_hits_; }
   /// Publications shipped as splice deltas vs full encodings (D6: bytes
   /// per op track the change set once the first full publish seeds the
@@ -307,8 +350,7 @@ class KvClient {
     std::vector<std::shared_ptr<const Partition>> parts;  // [j-1]; null = ⊥
     std::vector<PartFp> fps;                              // [j-1]
     Timestamp max_read_ts = 0;
-    std::function<void(const std::map<std::string, KvEntry>&, Timestamp, const ReadOrigin&)>
-        done;
+    ViewHandler done;
     // D8 cache bookkeeping: slots already resolved by the verified cache
     // lookup (skipped by the engine fallback), whether the lookup was
     // attempted, the min fill-time stamp over cache-served slots, and the
@@ -344,15 +386,6 @@ class KvClient {
   void log_splice(std::size_t offset, std::size_t erase_len, BytesView insert);
 
   void publish(PutHandler done);
-
-  /// Collects all n registers — through the cache hop first when one is
-  /// attached and not bypassed — then merges (or replays the merged-view
-  /// memo) and calls `done`; the map reference is valid only within the
-  /// callback.
-  void snapshot(
-      std::function<void(const std::map<std::string, KvEntry>&, Timestamp, const ReadOrigin&)>
-          done,
-      bool bypass_cache = false);
 
   /// Folds a verified cache lookup result into the snapshot (resolving
   /// served / unchanged / negative slots), then engine-reads the rest.
@@ -392,8 +425,14 @@ class KvClient {
   std::uint64_t published_ = 0;   // publications so far (first must be full)
 
   std::vector<PartMemo> part_memo_;  // [j-1]: version-keyed decode memo
-  std::shared_ptr<const std::map<std::string, KvEntry>> merged_cache_;
-  std::vector<PartFp> merged_fps_;  // fingerprints merged_cache_ was built from
+  // Merged-view memo: the fingerprints of the last snapshot and, once a
+  // list asked for it, the merged map of exactly those partitions. Shared
+  // so a snapshot can pin it across the user callback.
+  struct MergedMemo {
+    std::vector<PartFp> fps;
+    std::shared_ptr<const MergedView::Map> map;
+  };
+  std::shared_ptr<MergedMemo> merged_memo_ = std::make_shared<MergedMemo>();
 
   Timestamp last_snapshot_ts_ = 0;
 

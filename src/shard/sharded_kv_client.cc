@@ -351,8 +351,7 @@ void ShardedKvClient::snapshot_on_shard(std::size_t s, SnapshotHandler done) {
     std::lock_guard lock(mu_);
     id = ++next_op_;
     complete = [this, s, id, fired, done = std::move(done)](
-                   const std::map<std::string, kv::KvEntry>* m, Timestamp ts,
-                   const kv::ReadOrigin& origin) {
+                   const kv::MergedView* m, Timestamp ts, const kv::ReadOrigin& origin) {
       {
         std::lock_guard relock(mu_);
         if (*fired) return;
@@ -376,9 +375,9 @@ void ShardedKvClient::snapshot_shard(std::size_t s, SnapshotHandler complete) {
     complete(nullptr, 0, kv::ReadOrigin{});
     return;
   }
-  kv.list_ex(/*bypass_cache=*/false,
-             [complete](const std::map<std::string, kv::KvEntry>& m, Timestamp ts,
-                        const kv::ReadOrigin& origin) { complete(&m, ts, origin); });
+  kv.snapshot(/*bypass_cache=*/false,
+              [complete](const kv::MergedView& view, Timestamp ts,
+                         const kv::ReadOrigin& origin) { complete(&view, ts, origin); });
 }
 
 void ShardedKvClient::snapshot_degraded_on_shard(std::size_t s, SnapshotHandler done) {
@@ -391,8 +390,7 @@ void ShardedKvClient::snapshot_degraded_on_shard(std::size_t s, SnapshotHandler 
     std::lock_guard lock(mu_);
     id = ++next_op_;
     complete = [this, s, id, fired, done = std::move(done)](
-                   const std::map<std::string, kv::KvEntry>* m, Timestamp ts,
-                   const kv::ReadOrigin& origin) {
+                   const kv::MergedView* m, Timestamp ts, const kv::ReadOrigin& origin) {
       {
         std::lock_guard relock(mu_);
         if (*fired) return;
@@ -415,9 +413,7 @@ void ShardedKvClient::snapshot_degraded_shard(std::size_t s, SnapshotHandler com
   // touches the (possibly misbehaving, possibly unreachable) shard, and
   // verified-stale cache data is no less authentic after fail_i — it is
   // served flagged, or the whole snapshot settles null.
-  kv_[s]->snapshot_degraded(
-      [complete](const std::map<std::string, kv::KvEntry>* m, Timestamp ts,
-                 const kv::ReadOrigin& origin) { complete(m, ts, origin); });
+  kv_[s]->snapshot_degraded(std::move(complete));
 }
 
 bool ShardedKvClient::any_shard_failed() const {

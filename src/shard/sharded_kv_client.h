@@ -122,13 +122,14 @@ class ShardedKvClient {
   /// needed publishing or the shard failed); `failed` disambiguates the
   /// two t=0 cases.
   using MutateHandler = std::function<void(Timestamp, bool failed)>;
-  /// `done(merged, read_ts, origin)`: the shard's full merged snapshot,
-  /// or null when the shard failed. The map is borrowed — valid only for
-  /// the duration of the callback (it may be the engine's merged-view
-  /// memo, served without a copy). `origin` carries the snapshot's cache
-  /// provenance (kv::ReadOrigin; all-default when the shard failed).
-  using SnapshotHandler = std::function<void(const std::map<std::string, kv::KvEntry>*,
-                                             Timestamp, const kv::ReadOrigin&)>;
+  /// `done(view, read_ts, origin)`: the shard's snapshot as a merged
+  /// view, or null when the shard failed. The view is borrowed — valid
+  /// only for the duration of the callback; gets look keys up in it
+  /// (find) and list contributions read its merged map (all). `origin`
+  /// carries the snapshot's cache provenance (kv::ReadOrigin;
+  /// all-default when the shard failed).
+  using SnapshotHandler =
+      std::function<void(const kv::MergedView*, Timestamp, const kv::ReadOrigin&)>;
 
   /// Draws one cross-shard sequence ticket. The facade draws tickets at
   /// plan time, in batch program order, so a batch's winners (and exact
@@ -155,7 +156,7 @@ class ShardedKvClient {
   /// D10 degraded snapshot of shard `s`: cache-ONLY, allow_stale — the
   /// shard's FAUST deployment is never contacted (the caller holds its
   /// breaker open). Settles with (nullptr, 0, {}) when the shard has no
-  /// cache tier or the cache cannot serve every register; a non-null map
+  /// cache tier or the cache cannot serve every register; a non-null view
   /// always has origin.cached set (stale-but-authentic, never stable).
   void snapshot_degraded_on_shard(std::size_t s, SnapshotHandler done);
 

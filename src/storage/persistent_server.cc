@@ -7,31 +7,22 @@ namespace faust::storage {
 
 PersistentServer::PersistentServer(int n, net::Transport& net, std::string log_path,
                                    NodeId self)
-    : core_(n),
-      net_(net),
-      self_(self),
-      log_(std::move(log_path)),
-      last_reply_(static_cast<std::size_t>(n)),
-      parked_(static_cast<std::size_t>(n)) {
+    : Server(n, net, self, Unattached{}), log_(std::move(log_path)) {
   recover();
-  net_.attach(self_, *this);
+  attach_to_net();
 }
 
 PersistentServer::PersistentServer(int n, net::Transport& net, const std::string& dir,
                                    DurabilityOptions options, NodeId self)
-    : core_(n),
-      net_(net),
-      self_(self),
+    : Server(n, net, self, Unattached{}),
       log_(dir + "/wal.log"),
       snaps_(std::make_unique<SnapshotStore>(dir + "/snapshot.bin")),
-      options_(options),
-      last_reply_(static_cast<std::size_t>(n)),
-      parked_(static_cast<std::size_t>(n)) {
+      options_(options) {
   recover();
-  net_.attach(self_, *this);
+  attach_to_net();
 }
 
-PersistentServer::~PersistentServer() { net_.detach(self_); }
+PersistentServer::~PersistentServer() { detach_from_net(); }
 
 void PersistentServer::recover() {
   std::size_t skip = 0;
@@ -52,8 +43,8 @@ void PersistentServer::recover() {
         wire::Reader r(record);
         const NodeId from = static_cast<NodeId>(r.get_u32());
         if (!r.ok()) return;
-        const Bytes msg = r.get_raw(r.remaining());
-        apply(from, msg, /*live=*/false);
+        // Its own buffer: MEM keeps submitted values as slices of it.
+        replay(from, std::make_shared<const Bytes>(r.get_raw(r.remaining())));
       },
       skip);
   last_snapshot_records_ = skip;
@@ -66,25 +57,47 @@ void PersistentServer::recover() {
   }
 }
 
+bool PersistentServer::journal(NodeId from, BytesView msg) {
+  // Write-ahead: the record is durable before the state changes or any
+  // reply leaves. A crash after the append and before the reply leaves
+  // the op incomplete, which the model permits for a crashed server; the
+  // client's resubmit then meets the duplicate check. What recovery must
+  // preserve is exactly the processed prefix — and it does.
+  wire::Writer w(4 + msg.size());
+  w.put_u32(static_cast<std::uint32_t>(from));
+  w.put_raw(msg);
+  return log_.append(w.buffer());
+}
+
+void PersistentServer::on_message(NodeId from, BytesView msg) {
+  Server::on_message(from, msg);
+  maybe_snapshot();
+}
+
+void PersistentServer::on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) {
+  Server::on_shared_message(from, msg);
+  maybe_snapshot();
+}
+
 bool PersistentServer::restore_from_payload(BytesView payload) {
   wire::Reader r(payload);
   const BytesView image = r.get_bytes_view();
   if (wire::Reader::is_error(image)) return false;
-  std::vector<Bytes> replies(last_reply_.size());
+  std::vector<Bytes> replies(reply_cache().size());
   for (auto& rep : replies) {
     rep = r.get_bytes();
     if (!r.ok()) return false;
   }
   if (!r.exhausted()) return false;
-  if (!ustor::restore_server_state(core_, image)) return false;
-  last_reply_ = std::move(replies);
+  if (!ustor::restore_server_state(core(), image)) return false;
+  reply_cache() = std::move(replies);
   return true;
 }
 
 Bytes PersistentServer::snapshot_payload() const {
   wire::Writer w;
-  w.put_bytes(ustor::encode_server_state(core_));
-  for (const Bytes& rep : last_reply_) w.put_bytes(rep);
+  w.put_bytes(ustor::encode_server_state(core()));
+  for (const Bytes& rep : reply_cache()) w.put_bytes(rep);
   return w.take();
 }
 
@@ -99,167 +112,6 @@ void PersistentServer::maybe_snapshot() {
   if (snaps_ == nullptr || options_.snapshot_every == 0) return;
   if (log_.records() - last_snapshot_records_ >= options_.snapshot_every) {
     force_snapshot();
-  }
-}
-
-void PersistentServer::on_message(NodeId from, BytesView msg) {
-  const auto type = ustor::peek_type(msg);
-  if (!type.has_value()) return;
-  if (*type != ustor::MsgType::kSubmit && *type != ustor::MsgType::kSubmitDelta &&
-      *type != ustor::MsgType::kCommit)
-    return;
-
-  // Duplicate SUBMIT (a reconnecting client resending its in-flight op):
-  // MEM[from].t is the last timestamp `from` submitted, so anything at or
-  // below it was already processed. Serve the cached original reply —
-  // reprocessing would duplicate the op's L entry and the WAL record.
-  if (*type != ustor::MsgType::kCommit && from >= 1 &&
-      from <= static_cast<NodeId>(core_.n())) {
-    Timestamp t = 0;
-    bool decoded = false;
-    std::optional<ustor::CommitMessage> piggyback;
-    if (*type == ustor::MsgType::kSubmit) {
-      const auto v = ustor::decode_submit_view(msg);
-      if (!v.has_value() || v->inv.client != from) return;
-      t = v->t;
-      decoded = true;
-      if (v->has_commit) {
-        piggyback = ustor::CommitMessage{v->commit_version,
-                                         Bytes(v->commit_sig.begin(), v->commit_sig.end()),
-                                         Bytes(v->proof_sig.begin(), v->proof_sig.end())};
-      }
-    } else {
-      const auto v = ustor::decode_submit_delta_view(msg);
-      if (!v.has_value() || v->inv.client != from) return;
-      t = v->t;
-      decoded = true;
-      if (v->has_commit) {
-        piggyback = ustor::CommitMessage{v->commit_version,
-                                         Bytes(v->commit_sig.begin(), v->commit_sig.end()),
-                                         Bytes(v->proof_sig.begin(), v->proof_sig.end())};
-      }
-    }
-
-    // D10 piggybacked COMMIT: when it advances SVER[from], log and apply
-    // it as its own record BEFORE the dedup/parking decisions — exactly
-    // as if a standalone COMMIT had arrived just ahead of this SUBMIT.
-    // The separate record matters because a parked submit is unlogged:
-    // the commit's state change (an L prune other clients' replies will
-    // observe) must still land in the WAL in processing order, or replay
-    // would diverge from the live run.
-    if (piggyback.has_value() &&
-        !ustor::version_leq(piggyback->version,
-                            core_.sver(static_cast<ClientId>(from)).version)) {
-      const Bytes commit_bytes = ustor::encode(*piggyback);
-      wire::Writer cw;
-      cw.put_u32(static_cast<std::uint32_t>(from));
-      cw.put_raw(BytesView(commit_bytes));
-      if (!log_.append(cw.buffer())) return;
-      core_.process_commit(static_cast<ClientId>(from), *piggyback);
-      release_parked();
-    }
-
-    if (decoded && t <= core_.mem(static_cast<ClientId>(from)).t) {
-      ++duplicate_replies_;
-      const Bytes& cached = last_reply_[static_cast<std::size_t>(from) - 1];
-      if (!cached.empty()) net_.send(self_, from, Bytes(cached));
-      return;
-    }
-
-    // D10 reorder tolerance: this SUBMIT overtook the client's previous
-    // COMMIT (L still lists an op of the client, so processing now would
-    // be a false self-concurrency). Park it — unlogged — until that
-    // COMMIT lands or the client's retransmission (COMMIT before SUBMIT)
-    // drains the slot; release_parked() appends the WAL record at
-    // dispatch time, keeping replay order equal to processing order.
-    if (core_.client_in_L(static_cast<ClientId>(from))) {
-      parked_[static_cast<std::size_t>(from) - 1] = Bytes(msg.begin(), msg.end());
-      ++parked_submits_;
-      return;
-    }
-  }
-
-  // Write-ahead: the record is durable before the state changes or any
-  // reply leaves. A crash after the append and before the reply costs the
-  // client a retransmission-free... nothing: channels are reliable only
-  // while the server is up; the op simply never completes, which the
-  // model permits for a crashed server. What recovery must preserve is
-  // exactly the processed prefix — and it does.
-  wire::Writer w;
-  w.put_u32(static_cast<std::uint32_t>(from));
-  w.put_raw(msg);
-  if (!log_.append(w.buffer())) return;  // disk failure: refuse to proceed
-  apply(from, msg, /*live=*/true);
-  if (*type == ustor::MsgType::kCommit) release_parked();
-  maybe_snapshot();
-}
-
-void PersistentServer::release_parked() {
-  // A COMMIT's L prune can clear other clients' entries too: scan all
-  // slots. Releasing a SUBMIT never prunes L, so one pass settles.
-  for (ClientId i = 1; i <= core_.n(); ++i) {
-    Bytes& slot = parked_[static_cast<std::size_t>(i - 1)];
-    if (slot.empty() || core_.client_in_L(i)) continue;
-    const Bytes msg = std::move(slot);
-    slot.clear();
-    wire::Writer w;
-    w.put_u32(static_cast<std::uint32_t>(i));
-    w.put_raw(msg);
-    if (!log_.append(w.buffer())) return;
-    apply(static_cast<NodeId>(i), msg, /*live=*/true);
-  }
-}
-
-void PersistentServer::apply(NodeId from, BytesView msg, bool live) {
-  const auto type = ustor::peek_type(msg);
-  if (!type.has_value()) return;
-  switch (*type) {
-    case ustor::MsgType::kSubmit: {
-      const auto m = ustor::decode_submit(msg);
-      if (!m.has_value() || m->inv.client != from) return;
-      // Piggybacked COMMIT: idempotent under the monotone gate (the live
-      // path already applied it from its own WAL record).
-      if (m->commit.has_value()) {
-        core_.process_commit(static_cast<ClientId>(from), *m->commit);
-      }
-      const ustor::ReplySnapshot reply = core_.process_submit(*m);
-      // Encode even during replay: the cache must hold the ORIGINAL
-      // reply bytes so a post-restart duplicate gets the answer the
-      // pre-crash run computed.
-      Bytes encoded = ustor::encode(reply);
-      if (live) net_.send(self_, from, Bytes(encoded));
-      last_reply_[static_cast<std::size_t>(from) - 1] = std::move(encoded);
-      break;
-    }
-    case ustor::MsgType::kSubmitDelta: {
-      // The WAL stores the delta as received; expansion against the core's
-      // current state is deterministic because replay preserves order, so
-      // recovery rebuilds exactly the state the live run had.
-      const auto dm = ustor::decode_submit_delta_view(msg);
-      if (!dm.has_value() || dm->inv.client != from) return;
-      if (dm->has_commit) {
-        core_.process_commit(
-            static_cast<ClientId>(from),
-            ustor::CommitMessage{dm->commit_version,
-                                 Bytes(dm->commit_sig.begin(), dm->commit_sig.end()),
-                                 Bytes(dm->proof_sig.begin(), dm->proof_sig.end())});
-      }
-      const auto m = ustor::expand_submit_delta(core_, *dm);
-      if (!m.has_value()) return;
-      const ustor::ReplySnapshot reply = core_.process_submit(*m);
-      Bytes encoded = ustor::encode(reply);
-      if (live) net_.send(self_, from, Bytes(encoded));
-      last_reply_[static_cast<std::size_t>(from) - 1] = std::move(encoded);
-      break;
-    }
-    case ustor::MsgType::kCommit: {
-      const auto m = ustor::decode_commit(msg);
-      if (!m.has_value()) return;
-      core_.process_commit(static_cast<ClientId>(from), *m);
-      break;
-    }
-    default:
-      break;
   }
 }
 

@@ -5,8 +5,8 @@
 // Algorithm 2's state (MEM, SVER, L, P, c) is a deterministic function of
 // the sequence of SUBMIT/COMMIT messages processed, so logging that
 // sequence before processing (WAL rule) makes the server recoverable: a
-// restarted server replays the log through a fresh ServerCore and ends up
-// in byte-identical state — clients notice nothing (storage_test proves
+// restarted server replays the log through its own dispatch path and ends
+// up in byte-identical state — clients notice nothing (storage_test proves
 // it: versions keep extending across a crash+recover, no fail_i fires).
 //
 // Snapshots bound replay time: every `snapshot_every` WAL records the
@@ -17,16 +17,22 @@
 // rejected and recovery falls back to full log replay — slower, never
 // wrong (DESIGN.md D7).
 //
+// One dispatch path: PersistentServer IS a ustor::Server — the same
+// dedup, parking, piggybacked-COMMIT and decode/dispatch code as the
+// in-memory server — plus the journal seam (each state-changing message
+// is appended before it is applied) and replay (the same dispatch with
+// sends and the journal off). So durable shards answer advertised-base
+// reads with REPLY_DELTA and keep submitted values zero-copy exactly like
+// in-memory ones, and the two produce byte-identical reply streams.
+//
 // Exactly-once resume: a client that reconnects after a server restart
 // re-sends its latest COMMIT and its in-flight SUBMIT (ustor::Client::
-// resubmit). The submit timestamp doubles as a per-client sequence
-// number (MEM[i].t is the last timestamp client i submitted — reads and
-// writes both advance it), so a SUBMIT with t <= MEM[from].t is a
-// duplicate: the server resends the CACHED original reply instead of
-// reprocessing (reprocessing would append a second L entry and trip the
-// client's self-concurrency check). The cache is rebuilt during replay
-// and carried inside snapshots, so dedup survives arbitrarily many
-// crashes.
+// resubmit). The server's duplicate check (t <= MEM[from].t) answers the
+// resent SUBMIT with the CACHED original reply. The cache is rebuilt
+// during replay and carried inside snapshots — together with each
+// register's delta bookkeeping, so the replies recovery recomputes are
+// byte-identical to the ones sent live — and dedup survives arbitrarily
+// many crashes.
 //
 // Durability is a server-operator concern; it adds nothing to the trust
 // model (a Byzantine server could "recover" into any state it likes —
@@ -35,7 +41,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/transport.h"
 #include "storage/log_store.h"
@@ -53,10 +58,11 @@ struct DurabilityOptions {
 };
 
 /// Correct server with a write-ahead log and verified snapshots.
-class PersistentServer : public net::Node {
+class PersistentServer : public ustor::Server {
  public:
   /// Log-only mode: opens/creates the WAL at `log_path` and replays any
-  /// existing records (crash recovery happens in the constructor).
+  /// existing records (crash recovery happens in the constructor; the
+  /// server attaches to `net` only once it is done).
   PersistentServer(int n, net::Transport& net, std::string log_path,
                    NodeId self = kServerNode);
 
@@ -68,10 +74,9 @@ class PersistentServer : public net::Node {
 
   ~PersistentServer() override;
 
+  /// The Server dispatch, then a snapshot when the cadence is due.
   void on_message(NodeId from, BytesView msg) override;
-
-  ustor::ServerCore& core() { return core_; }
-  const ustor::ServerCore& core() const { return core_; }
+  void on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) override;
 
   /// Writes a snapshot now (no-op without a snapshot path). Returns
   /// false on I/O failure.
@@ -86,47 +91,29 @@ class PersistentServer : public net::Node {
   std::uint64_t snapshots_written() const { return snaps_ ? snaps_->saves() : 0; }
   /// Snapshot loads refused for integrity or framing reasons.
   std::uint64_t snapshots_rejected() const { return snaps_ ? snaps_->rejects() : 0; }
-  /// Duplicate SUBMITs answered from the reply cache (client resume).
-  std::uint64_t duplicate_replies() const { return duplicate_replies_; }
-  /// SUBMITs parked behind a not-yet-processed predecessor COMMIT (D10:
-  /// a lossy/reordering transport delivered the SUBMIT first; processing
-  /// it then would be a false self-concurrency at a correct client).
-  std::uint64_t parked_submits() const { return parked_submits_; }
   /// WAL records refused at replay because their CRC did not match.
   std::uint64_t checksum_failures() const { return log_.checksum_failures(); }
   /// Total intact WAL records (replayed + appended) through this handle.
   std::uint64_t wal_records() const { return log_.records(); }
 
+ protected:
+  /// Appends (sender ‖ raw message) to the WAL; false on disk failure,
+  /// which drops the message (refuse to proceed rather than diverge).
+  bool journal(NodeId from, BytesView msg) override;
+
  private:
   void recover();
-
-  /// Applies one logged record (sender ‖ raw message) to the core,
-  /// caching the encoded reply; sends it only when `live`.
-  void apply(NodeId from, BytesView msg, bool live);
 
   /// Snapshot payload: state-codec image ‖ per-client cached replies.
   Bytes snapshot_payload() const;
   bool restore_from_payload(BytesView payload);
   void maybe_snapshot();
 
-  /// Logs + applies every parked SUBMIT whose blocking L entry is gone;
-  /// called after each live COMMIT. Parked messages are NOT in the WAL
-  /// yet — they are logged here, at dispatch, so replay order equals
-  /// live processing order.
-  void release_parked();
-
-  ustor::ServerCore core_;
-  net::Transport& net_;
-  const NodeId self_;
   LogStore log_;
   std::unique_ptr<SnapshotStore> snaps_;
   DurabilityOptions options_;
-  std::vector<Bytes> last_reply_;  // per client, original encoded bytes
-  std::vector<Bytes> parked_;      // per client, one held-back SUBMIT (empty = none)
   std::size_t recovered_ = 0;
   bool recovered_from_snapshot_ = false;
-  std::uint64_t duplicate_replies_ = 0;
-  std::uint64_t parked_submits_ = 0;
   std::uint64_t last_snapshot_records_ = 0;
 };
 

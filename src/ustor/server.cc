@@ -139,12 +139,10 @@ std::optional<ReplySnapshot> ServerCore::process_submit_delta(
   rec.to = m.new_root;
   rec.new_size = m.new_size;
   rec.splices.reserve(m.splices.size());
-  std::size_t wire = 4;  // splice-count prefix
   for (const SpliceView& s : m.splices) {
     rec.splices.push_back(Splice{s.offset, s.erase_len, Bytes(s.insert.begin(), s.insert.end())});
-    wire += 8 + 8 + 4 + s.insert.size();
   }
-  rec.wire_bytes = wire;
+  rec.wire_bytes = DeltaRecord::wire_size(rec.splices);
   history.push_back(std::move(rec));
   while (history.size() > kDeltaHistoryDepth) history.pop_front();
 
@@ -276,66 +274,83 @@ bool ServerCore::client_in_L(ClientId i) const {
   return false;
 }
 
-Server::Server(int n, net::Transport& net, NodeId self)
+Server::Server(int n, net::Transport& net, NodeId self) : Server(n, net, self, Unattached{}) {
+  attach_to_net();
+}
+
+Server::Server(int n, net::Transport& net, NodeId self, Unattached)
     : core_(n),
       net_(net),
       self_(self),
       last_reply_(static_cast<std::size_t>(n)),
-      parked_(static_cast<std::size_t>(n)) {
-  net_.attach(self_, *this);
-}
+      parked_(static_cast<std::size_t>(n)) {}
 
 void Server::on_message(NodeId from, BytesView msg) {
   // No shared buffer to retain: fall back to copying the value into MEM.
   process_client_msg(from, msg, nullptr);
 }
 
+void Server::on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) {
+  process_client_msg(from, BytesView(*msg), msg);
+}
+
+void Server::replay(NodeId from, const std::shared_ptr<const Bytes>& msg) {
+  replaying_ = true;
+  process_client_msg(from, BytesView(*msg), msg);
+  replaying_ = false;
+}
+
 void Server::process_client_msg(NodeId from, BytesView bytes,
                                 const std::shared_ptr<const Bytes>& buffer) {
+  // Only the n clients speak to the server. Anything else — node 0, an id
+  // past n, a cache node — is noise; a COMMIT from it would otherwise
+  // reach ServerCore::process_commit's range check (and, on a durable
+  // server, the journal, poisoning every later recovery).
+  if (from < 1 || from > static_cast<NodeId>(core_.n())) return;
+  const ClientId i = static_cast<ClientId>(from);
   const auto type = peek_type(bytes);
   if (!type.has_value()) return;  // clients are correct; ignore noise
   if (*type == MsgType::kCommit) {
-    auto m = decode_commit(bytes);
+    const auto m = decode_commit(bytes);
     if (!m.has_value()) return;
-    core_.process_commit(static_cast<ClientId>(from), *m);
-    release_parked();
+    commit(i, *m, bytes);
     return;
   }
   if (*type != MsgType::kSubmit && *type != MsgType::kSubmitDelta) return;
-  if (from < 1 || from > static_cast<NodeId>(core_.n())) return;
 
   // Peek (client, t) without processing: both view decoders are cheap and
   // copy nothing. The D10 piggybacked COMMIT (when present) is lifted out
   // here — it logically precedes the submit.
   Timestamp t = 0;
   std::optional<CommitMessage> piggyback;
+  const auto lift = [&](const auto& v) {
+    t = v.t;
+    if (v.has_commit) {
+      piggyback = CommitMessage{v.commit_version, Bytes(v.commit_sig.begin(), v.commit_sig.end()),
+                                Bytes(v.proof_sig.begin(), v.proof_sig.end())};
+    }
+  };
   if (*type == MsgType::kSubmit) {
     const auto v = decode_submit_view(bytes);
-    if (!v.has_value() || v->inv.client != from) return;
-    t = v->t;
-    if (v->has_commit) {
-      piggyback = CommitMessage{v->commit_version, Bytes(v->commit_sig.begin(), v->commit_sig.end()),
-                                Bytes(v->proof_sig.begin(), v->proof_sig.end())};
-    }
+    if (!v.has_value() || v->inv.client != i) return;
+    lift(*v);
   } else {
     const auto v = decode_submit_delta_view(bytes);
-    if (!v.has_value() || v->inv.client != from) return;
-    t = v->t;
-    if (v->has_commit) {
-      piggyback = CommitMessage{v->commit_version, Bytes(v->commit_sig.begin(), v->commit_sig.end()),
-                                Bytes(v->proof_sig.begin(), v->proof_sig.end())};
-    }
+    if (!v.has_value() || v->inv.client != i) return;
+    lift(*v);
   }
-  const ClientId i = static_cast<ClientId>(from);
 
   // Process the piggybacked COMMIT BEFORE the dedup and parking checks:
   // it can prune L (draining this client's parking slot, so the submit
   // below dispatches instead of deadlocking in the slot) and it advances
   // SVER[i] even when the submit itself turns out to be a duplicate —
   // which is exactly the Algorithm 1 line-52 invariant the piggyback
-  // exists to uphold. The monotone gate in process_commit makes stale
-  // re-deliveries no-ops.
-  if (piggyback.has_value()) {
+  // exists to uphold. Only a COMMIT that advances SVER[i] changes state;
+  // it is journaled as its own standalone record, because a parked submit
+  // is not journaled yet and the commit's L prune (which other clients'
+  // replies observe) must land in processing order.
+  if (piggyback.has_value() && !version_leq(piggyback->version, core_.sver(i).version)) {
+    if (!journaled(from, encode(*piggyback))) return;
     core_.process_commit(i, *piggyback);
     release_parked();
   }
@@ -347,15 +362,15 @@ void Server::process_client_msg(NodeId from, BytesView bytes,
   if (t <= core_.mem(i).t) {
     ++duplicate_replies_;
     const Bytes& cached = last_reply_[static_cast<std::size_t>(i - 1)];
-    if (!cached.empty()) net_.send(self_, from, Bytes(cached));
+    if (!cached.empty() && !replaying_) net_.send(self_, from, Bytes(cached));
     return;
   }
 
   // D10 reorder tolerance: this SUBMIT overtook the client's previous
   // COMMIT (L still lists an op of the client); processing it now would
-  // put the client's OWN op into its concurrency set. Park it until that
-  // COMMIT lands — or, if the COMMIT was lost, until the client's
-  // retransmission (which resends COMMIT before SUBMIT) drains the slot.
+  // put the client's OWN op into its concurrency set. Park it — not yet
+  // journaled — until that COMMIT lands or, if the COMMIT was lost, until
+  // the client's retransmission (COMMIT before SUBMIT) drains the slot.
   if (core_.client_in_L(i)) {
     Parked p;
     p.buffer = buffer;
@@ -368,8 +383,17 @@ void Server::process_client_msg(NodeId from, BytesView bytes,
   dispatch_submit(from, bytes, buffer);
 }
 
+void Server::commit(ClientId i, const CommitMessage& m, BytesView bytes) {
+  if (!journaled(static_cast<NodeId>(i), bytes)) return;
+  core_.process_commit(i, m);
+  release_parked();
+}
+
 void Server::dispatch_submit(NodeId from, BytesView bytes,
                              const std::shared_ptr<const Bytes>& buffer) {
+  // Write-ahead: journaled at dispatch (never at parking), so the journal
+  // order is the processing order.
+  if (!journaled(from, bytes)) return;
   if (peek_type(bytes) == MsgType::kSubmitDelta) {
     const auto m = decode_submit_delta_view(bytes);
     if (!m.has_value()) return;
@@ -403,7 +427,12 @@ void Server::release_parked() {
 }
 
 void Server::send_reply(ClientId to, Bytes encoded) {
-  last_reply_[static_cast<std::size_t>(to - 1)] = encoded;
+  Bytes& cached = last_reply_[static_cast<std::size_t>(to - 1)];
+  if (replaying_) {
+    cached = std::move(encoded);
+    return;
+  }
+  cached = encoded;
   net_.send(self_, static_cast<NodeId>(to), std::move(encoded));
 }
 
@@ -443,10 +472,6 @@ void Server::handle_submit_delta(NodeId from, const SubmitDeltaMessageView& m,
   } else {
     send_reply(static_cast<ClientId>(from), encode_reply_delta(reply, plan));
   }
-}
-
-void Server::on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) {
-  process_client_msg(from, BytesView(*msg), msg);
 }
 
 }  // namespace faust::ustor

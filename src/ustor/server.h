@@ -135,6 +135,13 @@ class ServerCore {
     std::uint64_t new_size = 0;
     std::vector<Splice> splices;
     std::size_t wire_bytes = 0;  // encoded size of the splice list
+
+    /// Encoded size of a splice list (count prefix + records).
+    static std::size_t wire_size(const std::vector<Splice>& splices) {
+      std::size_t wire = 4;
+      for (const Splice& s : splices) wire += 8 + 8 + 4 + s.insert.size();
+      return wire;
+    }
   };
 
   /// How many delta records to retain per register; a reader whose base is
@@ -162,11 +169,12 @@ class ServerCore {
   const std::vector<Bytes>& P() const { return *P_; }
 
   /// Durability import hook (ustor/state_codec.h): replaces the entire
-  /// protocol state with a previously exported image. Delta bookkeeping
-  /// (digest/history of each MemEntry) is NOT part of an image — it is
-  /// derived state that rebuilds on demand, so advertised-base reads
-  /// against a restored core degrade to "unchanged" or full replies,
-  /// never to wrong ones. Vector sizes must match n (FAUST_CHECKed).
+  /// protocol state with a previously exported image. The image carries
+  /// each MemEntry's delta bookkeeping (digest and history) too, so a
+  /// restored core answers advertised-base reads exactly as the core it
+  /// was exported from would — the replies recovery recomputes for the
+  /// log suffix are byte-identical to the ones sent live. Vector sizes
+  /// must match n (FAUST_CHECKed).
   void restore(std::vector<MemEntry> mem, ClientId c, std::vector<SignedVersion> sver,
                std::vector<InvocationTuple> concurrent, std::vector<Bytes> proofs,
                std::vector<ScheduledOp> schedule);
@@ -195,14 +203,17 @@ class ServerCore {
 
 /// Expands a SUBMIT_DELTA into the equivalent full SUBMIT against `core`'s
 /// current state: write form applies the splices to the stored value, read
-/// form carries no value. Used by servers that do not speak the delta
-/// protocol themselves (adversaries, the WAL replayer) — replying with a
-/// full REPLY to a delta-speaking client is always acceptable under the
-/// D6 negotiation. nullopt on a baseless or out-of-bounds delta.
+/// form carries no value. Used by the adversarial servers (src/adversary),
+/// which run their own dispatch and do not serve delta reads — replying
+/// with a full REPLY to a delta-speaking client is always acceptable under
+/// the D6 negotiation. nullopt on a baseless or out-of-bounds delta.
 std::optional<SubmitMessage> expand_submit_delta(const ServerCore& core,
                                                  const SubmitDeltaMessageView& m);
 
-/// The correct server: decodes messages, runs the core, replies.
+/// The correct server: decodes messages, runs the core, replies. This is
+/// the ONE dispatch path of every correct server, in-memory or durable:
+/// storage::PersistentServer derives from it, writes its WAL through the
+/// journal() seam and recovers through replay() (DESIGN.md D7).
 ///
 /// D10 chaos tolerance. The paper's channels are reliable FIFO; under a
 /// FaultPlan they are not, and three purely-timing anomalies would
@@ -238,6 +249,32 @@ class Server : public net::Node {
   /// SUBMITs parked behind a not-yet-processed predecessor COMMIT.
   std::uint64_t parked_submits() const { return parked_submits_; }
 
+ protected:
+  /// Constructs WITHOUT attaching to `net`: a subclass that must finish
+  /// its own setup first (WAL recovery) calls attach_to_net() when ready
+  /// and detach_from_net() on teardown.
+  struct Unattached {};
+  Server(int n, net::Transport& net, NodeId self, Unattached);
+  void attach_to_net() { net_.attach(self_, *this); }
+  void detach_from_net() { net_.detach(self_); }
+
+  /// Write-ahead seam, called with (from, bytes) just before each state
+  /// change: a standalone COMMIT, a piggybacked COMMIT that advances
+  /// SVER[from] (handed over re-encoded as a standalone COMMIT), and every
+  /// dispatched or released SUBMIT/SUBMIT_DELTA. Returning false drops the
+  /// message (nothing changes, nothing is sent). Not called by replay().
+  virtual bool journal(NodeId /*from*/, BytesView /*msg*/) { return true; }
+
+  /// Re-runs one journaled message through the same dispatch with sends
+  /// and the journal switched off; the reply cache is refreshed, so a
+  /// post-replay duplicate gets the bytes the original run sent.
+  void replay(NodeId from, const std::shared_ptr<const Bytes>& msg);
+
+  /// Per-client most recent encoded reply (the duplicate-suppression
+  /// cache); durable servers carry it inside snapshots.
+  std::vector<Bytes>& reply_cache() { return last_reply_; }
+  const std::vector<Bytes>& reply_cache() const { return last_reply_; }
+
  private:
   /// A SUBMIT held back until the client's previous COMMIT arrives. The
   /// shared buffer is retained when the message came in on the zero-copy
@@ -247,18 +284,25 @@ class Server : public net::Node {
     std::shared_ptr<const Bytes> buffer;
   };
 
-  /// Both delivery paths funnel here; `buffer` is null on the owned
-  /// (on_message) path.
+  /// journal(), except during replay (the message is already journaled).
+  bool journaled(NodeId from, BytesView msg) { return replaying_ || journal(from, msg); }
+
+  /// Both delivery paths (and replay) funnel here; `buffer` is null on the
+  /// owned (on_message) path.
   void process_client_msg(NodeId from, BytesView bytes,
                           const std::shared_ptr<const Bytes>& buffer);
 
-  /// Runs a (de-duplicated, un-parked) SUBMIT/SUBMIT_DELTA through the
-  /// core and replies.
+  /// Journals, then applies, one COMMIT from client `i` and releases the
+  /// parked SUBMITs it unblocks. `bytes` is what the journal records.
+  void commit(ClientId i, const CommitMessage& m, BytesView bytes);
+
+  /// Journals, then runs a (de-duplicated, un-parked) SUBMIT/SUBMIT_DELTA
+  /// through the core and replies.
   void dispatch_submit(NodeId from, BytesView bytes,
                        const std::shared_ptr<const Bytes>& buffer);
 
-  /// Shared SUBMIT_DELTA handling for both delivery paths; `buffer` is
-  /// null on the owned (on_message) path.
+  /// SUBMIT_DELTA handling for both delivery paths; `buffer` is null on
+  /// the owned (on_message) path.
   void handle_submit_delta(NodeId from, const SubmitDeltaMessageView& m,
                            const std::shared_ptr<const Bytes>& buffer);
 
@@ -267,7 +311,8 @@ class Server : public net::Node {
   /// are scanned after every process_commit).
   void release_parked();
 
-  /// Caches the encoded reply for duplicate suppression, then sends it.
+  /// Caches the encoded reply for duplicate suppression, then sends it
+  /// (unless replaying).
   void send_reply(ClientId to, Bytes encoded);
 
   ServerCore core_;
@@ -275,6 +320,7 @@ class Server : public net::Node {
   const NodeId self_;
   std::vector<Bytes> last_reply_;         // per client, most recent reply bytes
   std::vector<std::optional<Parked>> parked_;  // one slot per client
+  bool replaying_ = false;                // replay(): no sends, no journal
   std::uint64_t duplicate_replies_ = 0;
   std::uint64_t parked_submits_ = 0;
 };

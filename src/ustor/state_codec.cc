@@ -8,12 +8,23 @@
 namespace faust::ustor {
 namespace {
 
+void put_hash(wire::Writer& w, const crypto::Hash& h) {
+  w.put_raw(BytesView(h.data(), h.size()));
+}
+
+bool get_hash(wire::Reader& r, crypto::Hash* out) {
+  const BytesView raw = r.get_view(out->size());
+  if (wire::Reader::is_error(raw)) return false;
+  std::copy(raw.begin(), raw.end(), out->begin());
+  return true;
+}
+
 void put_version(wire::Writer& w, const Version& v) {
   w.put_u32(static_cast<std::uint32_t>(v.V.size()));
   for (const Timestamp t : v.V) w.put_u64(t);
   for (const Digest& d : v.M) {
     w.put_u8(d.present ? 1 : 0);
-    if (d.present) w.put_raw(BytesView(d.hash.data(), d.hash.size()));
+    if (d.present) put_hash(w, d.hash);
   }
 }
 
@@ -26,10 +37,8 @@ bool get_version(wire::Reader& r, int n, Version* out) {
     const std::uint8_t present = r.get_u8();
     if (present > 1) return false;
     if (present == 1) {
-      const BytesView raw = r.get_view(32);
-      if (wire::Reader::is_error(raw)) return false;
+      if (!get_hash(r, &d.hash)) return false;
       d.present = true;
-      std::copy(raw.begin(), raw.end(), d.hash.begin());
     }
   }
   if (!r.ok()) return false;
@@ -37,11 +46,62 @@ bool get_version(wire::Reader& r, int n, Version* out) {
   return true;
 }
 
-constexpr std::uint32_t kMagic = 0x46535431;  // "FST1": format version 1
+// "FST2": format version 2 (version 1 lacked the delta bookkeeping; a
+// version-1 image is rejected and recovery replays the log instead).
+constexpr std::uint32_t kMagic = 0x46535432;
 // Caps against a corrupted length field forcing a huge allocation; far
 // above anything a real deployment produces (L and the schedule are
 // pruned/bounded by the protocol's own dynamics, n by kMaxN upstream).
 constexpr std::uint32_t kMaxList = 1u << 24;
+
+/// Delta bookkeeping of one register (D6): the value's chunk-tree root
+/// when already computed, and the splice history later advertised-base
+/// reads are served from.
+void put_delta_state(wire::Writer& w, const ServerCore::MemEntry& me) {
+  w.put_u8(me.digest_known ? 1 : 0);
+  if (me.digest_known) put_hash(w, me.digest);
+  w.put_u32(static_cast<std::uint32_t>(me.history.size()));
+  for (const ServerCore::DeltaRecord& rec : me.history) {
+    put_hash(w, rec.from);
+    put_hash(w, rec.to);
+    w.put_u64(rec.new_size);
+    w.put_u32(static_cast<std::uint32_t>(rec.splices.size()));
+    for (const Splice& sp : rec.splices) {
+      w.put_u64(sp.offset);
+      w.put_u64(sp.erase_len);
+      w.put_bytes(sp.insert);
+    }
+  }
+}
+
+bool get_delta_state(wire::Reader& r, ServerCore::MemEntry* me) {
+  const std::uint8_t known = r.get_u8();
+  if (!r.ok() || known > 1) return false;
+  me->digest_known = known == 1;
+  if (me->digest_known && !get_hash(r, &me->digest)) return false;
+  const std::uint32_t depth = r.get_u32();
+  if (!r.ok() || depth > ServerCore::kDeltaHistoryDepth) return false;
+  for (std::uint32_t q = 0; q < depth; ++q) {
+    ServerCore::DeltaRecord rec;
+    if (!get_hash(r, &rec.from) || !get_hash(r, &rec.to)) return false;
+    rec.new_size = r.get_u64();
+    const std::uint32_t count = r.get_u32();
+    // Each splice occupies at least 20 bytes, which bounds the reserve.
+    if (!r.ok() || count > r.remaining() / 20) return false;
+    rec.splices.reserve(count);
+    for (std::uint32_t k = 0; k < count; ++k) {
+      Splice sp;
+      sp.offset = r.get_u64();
+      sp.erase_len = r.get_u64();
+      sp.insert = r.get_bytes();
+      if (!r.ok()) return false;
+      rec.splices.push_back(std::move(sp));
+    }
+    rec.wire_bytes = ServerCore::DeltaRecord::wire_size(rec.splices);
+    me->history.push_back(std::move(rec));
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -56,6 +116,7 @@ Bytes encode_server_state(const ServerCore& core) {
     w.put_u8(me.value.has_value() ? 1 : 0);
     if (me.value.has_value()) w.put_bytes(me.value->view());
     w.put_bytes(me.data_sig.view());
+    put_delta_state(w, me);
   }
   w.put_u32(static_cast<std::uint32_t>(core.last_committer()));
   for (ClientId i = 1; i <= n; ++i) {
@@ -102,6 +163,7 @@ bool restore_server_state(ServerCore& core, BytesView image) {
     const BytesView sig = r.get_bytes_view();
     if (wire::Reader::is_error(sig)) return false;
     me.data_sig = SharedBytes::copy_of(sig);
+    if (!get_delta_state(r, &me)) return false;
   }
 
   const std::uint32_t c = r.get_u32();

@@ -1,14 +1,16 @@
 // Canonical serialization of a ServerCore's protocol state — the payload
 // of the durability layer's snapshots (storage/snapshot_store.h).
 //
-// The image covers exactly Algorithm 2's state: MEM (timestamp, value,
-// DATA signature per register), the last-committer pointer c, SVER, the
+// The image covers Algorithm 2's state: MEM (timestamp, value, DATA
+// signature per register), the last-committer pointer c, SVER, the
 // concurrent-operations list L, the proof vector P, and the schedule log
-// (the recovery oracle the tests compare). Derived per-register delta
-// bookkeeping (chunk-tree digest, splice history) is deliberately NOT
-// serialized: it rebuilds lazily, and a restored server answers
-// advertised-base reads with "unchanged" or full replies until fresh
-// deltas accumulate — correct, just momentarily less compact.
+// (the recovery oracle the tests compare). It also carries each
+// register's D6 delta bookkeeping (chunk-tree digest and the depth-8
+// splice history): advertised-base reads are answered from that history,
+// so without it the replies recovery recomputes for the log suffix would
+// differ from the ones sent live, and a duplicate SUBMIT after a restart
+// would be echoed with bytes its client never saw (which D10's reply
+// fingerprint check would take for fork evidence).
 //
 // Encoding goes through wire::Writer/Reader (DESIGN.md D3), so an image
 // has a unique byte representation; decode is defensive (false on any

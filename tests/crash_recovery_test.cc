@@ -8,11 +8,13 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/chunked_hasher.h"
 #include "crypto/signature.h"
 #include "faust/cluster.h"
 #include "net/network.h"
@@ -102,6 +104,149 @@ TEST(CrashRecovery, DuplicateSubmitServedFromReplyCache) {
   EXPECT_EQ(to_string(*v), "in-flight");
   EXPECT_FALSE(c1.failed());
   EXPECT_FALSE(c2.failed());
+}
+
+// --- Delta-served replies survive recovery byte for byte -------------------
+
+/// Forwards deliveries to `target` and keeps, per sender, the most recent
+/// message other than a COMMIT — spliced in front of a client (replies)
+/// or the server (submits) to read the live traffic without touching the
+/// protocol.
+struct Tap : net::Node {
+  net::Node* target = nullptr;
+  std::map<NodeId, Bytes> last;
+  void keep(NodeId from, BytesView msg) {
+    if (ustor::peek_type(msg) != ustor::MsgType::kCommit) last[from] = Bytes(msg.begin(), msg.end());
+  }
+  void on_message(NodeId from, BytesView msg) override {
+    keep(from, msg);
+    target->on_message(from, msg);
+  }
+  void on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) override {
+    keep(from, BytesView(*msg));
+    target->on_shared_message(from, msg);
+  }
+};
+
+TEST(CrashRecovery, DeltaRepliesSurviveRecoveryByteForByte) {
+  // Durable shards serve advertised-base reads as REPLY_DELTA from each
+  // register's splice history. After a kill, recovery recomputes the
+  // replies of the log suffix; those must equal the live bytes, or a
+  // client resending its last SUBMIT gets an echo it has never seen —
+  // which the reply-fingerprint check takes for fork evidence. The
+  // history crosses the snapshot here (delta d3 before it, d4 after it,
+  // and client 2's read splices both), so the snapshot must carry it.
+  constexpr int kN = 3;
+  TempDirFixture dir("delta_echo");
+  sim::Scheduler sched;
+  net::Network net(sched, Rng(21), net::DelayModel{1, 3});
+  auto sigs = crypto::make_hmac_scheme(kN);
+  auto server = std::make_unique<storage::PersistentServer>(kN, net, dir.path,
+                                                            storage::DurabilityOptions{});
+  std::vector<std::unique_ptr<ustor::Client>> clients;
+  std::vector<std::unique_ptr<Tap>> reply_taps;
+  for (ClientId i = 1; i <= kN; ++i) {
+    clients.push_back(std::make_unique<ustor::Client>(
+        i, kN, sigs, net, kServerNode, 4096, ustor::DigestMode::kChunked, /*wire_deltas=*/true));
+    reply_taps.push_back(std::make_unique<Tap>());
+    reply_taps.back()->target = clients.back().get();
+    net.attach(i, *reply_taps.back());
+  }
+  Tap submit_tap;
+  submit_tap.target = server.get();
+  net.attach(kServerNode, submit_tap);
+  const auto client = [&](ClientId i) -> ustor::Client& {
+    return *clients[static_cast<std::size_t>(i - 1)];
+  };
+
+  const auto run_until = [&](const bool& done) {
+    while (!done && sched.step()) {
+    }
+    ASSERT_TRUE(done);
+    sched.run();  // drain the trailing COMMIT
+  };
+  const auto read = [&](ClientId i, ClientId j) {
+    bool done = false;
+    client(i).readx(j, [&](const ustor::ReadResult&) { done = true; });
+    run_until(done);
+  };
+  Bytes value(4096, 0);
+  for (std::size_t k = 0; k < value.size(); ++k) value[k] = static_cast<std::uint8_t>(k * 7);
+  const auto full_write = [&] {
+    bool done = false;
+    client(1).writex(value, [&](const ustor::WriteResult&) { done = true; });
+    run_until(done);
+  };
+  // One small in-place edit of writer 1's value, shipped as SUBMIT_DELTA.
+  const auto delta_write = [&](std::size_t offset, std::uint8_t fill) {
+    const crypto::Hash base = crypto::ChunkedHasher::digest(value);
+    std::vector<ustor::Splice> splices{ustor::Splice{offset, 8, Bytes(8, fill)}};
+    std::fill_n(value.begin() + static_cast<std::ptrdiff_t>(offset), 8, fill);
+    bool done = false;
+    client(1).writex_delta(base, crypto::ChunkedHasher::digest(value), value.size(),
+                           std::move(splices), [&](const ustor::WriteResult&) { done = true; });
+    run_until(done);
+  };
+
+  full_write();
+  delta_write(100, 0xa1);
+  read(2, 1);  // client 2's verified base: the value after d1
+  read(3, 1);
+  delta_write(2000, 0xa2);  // d2
+  delta_write(3000, 0xa3);  // d3: in the history the snapshot must carry
+  ASSERT_TRUE(server->force_snapshot());
+  delta_write(500, 0xa4);  // d4: logged after the snapshot
+  read(2, 1);              // spliced REPLY_DELTA: d2 + d3 + d4 (suffix)
+  read(3, 1);              // the same runs for client 3
+  read(3, 1);              // "unchanged" token (suffix)
+
+  const auto tag = [](const Bytes& b) { return ustor::peek_type(BytesView(b)); };
+  std::map<ClientId, Bytes> live_reply;
+  std::map<ClientId, Bytes> last_submit;
+  for (ClientId i = 1; i <= kN; ++i) {
+    live_reply[i] = reply_taps[static_cast<std::size_t>(i - 1)]->last.at(kServerNode);
+    last_submit[i] = submit_tap.last.at(i);
+  }
+  ASSERT_EQ(tag(live_reply[1]), ustor::MsgType::kReply);       // d4's REPLY
+  ASSERT_EQ(tag(live_reply[2]), ustor::MsgType::kReplyDelta);  // spliced
+  ASSERT_EQ(tag(live_reply[3]), ustor::MsgType::kReplyDelta);  // unchanged
+  ASSERT_GT(live_reply[2].size(), live_reply[3].size())
+      << "client 2's reply must carry splice runs, client 3's the O(1) token";
+
+  net.kill(kServerNode);
+  server.reset();
+  sched.run();
+
+  // Two recoveries of the same history: the log alone, and the snapshot
+  // plus the log suffix.
+  const std::string log_only = dir.path + "/log_only";
+  std::filesystem::create_directories(log_only);
+  std::filesystem::copy_file(dir.path + "/wal.log", log_only + "/wal.log");
+  for (const std::string& path : {log_only, dir.path}) {
+    SCOPED_TRACE(path);
+    server = std::make_unique<storage::PersistentServer>(kN, net, path,
+                                                         storage::DurabilityOptions{});
+    EXPECT_EQ(server->recovered_from_snapshot(), path == dir.path);
+    submit_tap.target = server.get();
+    net.attach(kServerNode, submit_tap);
+    for (ClientId i = 1; i <= kN; ++i) {
+      const std::uint64_t dropped = client(i).stale_replies_dropped();
+      reply_taps[static_cast<std::size_t>(i - 1)]->last.clear();
+      net.send(i, kServerNode, last_submit[i]);  // the client's op, resent
+      sched.run();
+      const auto& seen = reply_taps[static_cast<std::size_t>(i - 1)]->last;
+      ASSERT_TRUE(seen.count(kServerNode)) << "client " << i << " got no echo";
+      EXPECT_EQ(seen.at(kServerNode), live_reply[i]) << "client " << i;
+      // The op already completed: the echo is a timing artifact the client
+      // drops, never evidence.
+      EXPECT_EQ(client(i).stale_replies_dropped(), dropped + 1) << "client " << i;
+      EXPECT_FALSE(client(i).failed()) << "client " << i;
+    }
+    EXPECT_EQ(server->duplicate_replies(), static_cast<std::uint64_t>(kN));
+    net.kill(kServerNode);
+    server.reset();
+    sched.run();
+  }
 }
 
 // --- Snapshot recovery ----------------------------------------------------

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "adversary/forking_server.h"
 #include "api/store.h"
+#include "common/rng.h"
 #include "faust/cluster.h"
 #include "kvstore/kv_client.h"
 
@@ -163,6 +166,62 @@ TEST(KvCodec, MapRoundtripAndMalformedRejected) {
   padded.push_back(0);
   EXPECT_FALSE(decode_map(padded).has_value());
   EXPECT_TRUE(decode_map(encode_map({})).has_value());
+}
+
+TEST(MergedView, FindAgreesWithAllOnRandomPartitions) {
+  // Point lookups never merge: find() runs one binary search per
+  // partition. Over random partitions — ⊥ slots, undecodable (empty)
+  // ones, and seq ties across writers — it must name exactly the entry
+  // the full merge picks, and nothing for a key no partition holds.
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.next_below(5);
+    std::vector<std::shared_ptr<const Partition>> parts(n);
+    for (auto& slot : parts) {
+      const std::uint64_t kind = rng.next_below(6);
+      if (kind == 0) continue;  // ⊥
+      Partition p;
+      if (kind > 1) {
+        for (int k = 0; k < 24; ++k) {
+          if (rng.next_below(2) == 0) continue;
+          // Seqs from a tiny range: equal (seq) pairs across writers are
+          // common, so the writer tie-break is exercised.
+          p.push_back(PartitionEntry{"k" + std::to_string(10 + k),
+                                     "v" + std::to_string(rng.next_below(1000)),
+                                     1 + rng.next_below(3)});
+        }
+      }
+      slot = std::make_shared<const Partition>(std::move(p));
+    }
+    const MergedView view(parts);
+    std::vector<std::string> probes = {"", "k", "k09", "k34", "zz"};
+    for (int k = 0; k < 24; ++k) probes.push_back("k" + std::to_string(10 + k));
+    for (const std::string& key : probes) {
+      // Reference: the largest (seq, writer) over the partitions holding key.
+      std::optional<KvEntry> want;
+      for (std::size_t slot = 0; slot < n; ++slot) {
+        if (!parts[slot]) continue;
+        for (const PartitionEntry& e : *parts[slot]) {
+          const ClientId j = static_cast<ClientId>(slot + 1);
+          if (e.key == key && (!want || e.seq > want->seq || (e.seq == want->seq && j > want->writer))) {
+            want = KvEntry{e.value, j, e.seq};
+          }
+        }
+      }
+      const std::optional<KvEntry> got = view.find(key);
+      ASSERT_EQ(got, want) << "trial " << trial << " key '" << key << "'";
+      const auto it = view.all().find(key);
+      ASSERT_EQ(it != view.all().end(), want.has_value()) << "trial " << trial << " key " << key;
+      if (want) {
+        EXPECT_EQ(it->second, *want);
+      }
+    }
+    // all() builds once; a view seeded with that map serves it as is.
+    ASSERT_NE(view.built(), nullptr);
+    EXPECT_EQ(&view.all(), view.built().get());
+    const MergedView seeded(parts, view.built());
+    EXPECT_EQ(&seeded.all(), view.built().get());
+  }
 }
 
 TEST(KvUnderAttack, ForkDetectionFlowsThroughTheStoreFacade) {

@@ -371,6 +371,21 @@ TEST(ShardDifferential, DeltaAndLegacyModesProduceIdenticalViewsAndStability) {
     EXPECT_EQ(it->second.writer, want.writer) << key;
     EXPECT_EQ(it->second.seq, want.seq) << key;
   }
+  // Point gets (MergedView::find, no merge) agree across the two modes
+  // and with the listed views, for present and absent keys alike.
+  for (int k = 0; k <= 12; ++k) {
+    const std::string key = k < 12 ? "key-" + std::to_string(k) : "never-written";
+    const ClientId who = static_cast<ClientId>(1 + k % kClients);
+    const ShardedGetResult got_delta = delta.get(who, key);
+    const ShardedGetResult got_forced = forced.get(who, key);
+    ASSERT_EQ(got_delta.entry.has_value(), got_forced.entry.has_value()) << key;
+    const auto listed = b.entries.find(key);
+    ASSERT_EQ(got_forced.entry.has_value(), listed != b.entries.end()) << key;
+    if (got_delta.entry.has_value()) {
+      EXPECT_EQ(*got_delta.entry, *got_forced.entry) << key;
+      EXPECT_EQ(*got_forced.entry, listed->second) << key;
+    }
+  }
   for (ClientId i = 1; i <= kClients; ++i) {
     for (std::size_t s = 0; s < 2; ++s) {
       EXPECT_EQ(delta.kv[static_cast<std::size_t>(i - 1)]->shard_stable_ts(s),

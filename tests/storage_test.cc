@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cache/cache_wire.h"
 #include "common/rng.h"
+#include "crypto/chunked_hasher.h"
 #include "crypto/signature.h"
 #include "net/network.h"
 #include "sim/scheduler.h"
@@ -21,6 +25,7 @@
 #include "storage/snapshot_store.h"
 #include "ustor/client.h"
 #include "ustor/state_codec.h"
+#include "wire/encoder.h"
 
 namespace faust::storage {
 namespace {
@@ -426,6 +431,274 @@ TEST(PersistentServerTest, DoubleCrashStillConsistent) {
   EXPECT_EQ(to_string(*v), "round-2");
   EXPECT_FALSE(c1.failed());
   EXPECT_FALSE(c2.failed());
+}
+
+/// A COMMIT the server must ignore: well-formed, but its sender is not
+/// one of the n clients.
+Bytes stray_commit(int n) {
+  ustor::Version v(n);
+  v.V[0] = 100;  // would promote c and prune L if it were processed
+  return ustor::encode(ustor::CommitMessage{v, Bytes(32, 1), Bytes(32, 2)});
+}
+
+TEST(PersistentServerTest, CommitFromOutsideTheClientRangeIsIgnoredAndRestartsCleanly) {
+  // Regression: a COMMIT whose sender is outside 1..n (node 0, an id past
+  // n, a cache node — SocketTransport passes on whatever `from` a frame
+  // claims) used to reach ServerCore::process_commit's range check and
+  // abort the server; a durable server had already appended it to the
+  // WAL, so every restart replayed it and aborted again.
+  constexpr int kN = 3;
+  TempFile tmp("stray_commit");
+  sim::Scheduler sched;
+  net::Network net(sched, Rng(13), net::DelayModel{1, 2});
+  auto sigs = crypto::make_hmac_scheme(kN);
+  ustor::Client c1(1, kN, sigs, net);
+  ustor::Client c2(2, kN, sigs, net);
+  auto server = std::make_unique<PersistentServer>(kN, net, tmp.path);
+
+  bool done = false;
+  c1.writex(to_bytes("v1"), [&done](const ustor::WriteResult&) { done = true; });
+  while (!done && sched.step()) {
+  }
+  ASSERT_TRUE(done);
+  sched.run();
+
+  const std::uint64_t records = server->wal_records();
+  const Bytes state = ustor::encode_server_state(server->core());
+  const Bytes commit = stray_commit(kN);
+  for (const NodeId from : {NodeId{0}, NodeId{kN + 1}, NodeId{7}, cache::kCacheNodeId}) {
+    server->on_message(from, commit);
+    server->on_shared_message(from, std::make_shared<const Bytes>(commit));
+  }
+  EXPECT_EQ(server->wal_records(), records) << "nothing may reach the journal";
+  EXPECT_EQ(ustor::encode_server_state(server->core()), state) << "nor the state";
+
+  net.detach(kServerNode);
+  server.reset();
+  server = std::make_unique<PersistentServer>(kN, net, tmp.path);
+  EXPECT_EQ(server->recovered_records(), records);
+  EXPECT_EQ(ustor::encode_server_state(server->core()), state);
+
+  done = false;
+  ustor::Value v;
+  c2.readx(1, [&](const ustor::ReadResult& r) {
+    v = r.value;
+    done = true;
+  });
+  while (!done && sched.step()) {
+  }
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(to_string(*v), "v1");
+  EXPECT_FALSE(c1.failed());
+  EXPECT_FALSE(c2.failed());
+}
+
+TEST(PersistentServerTest, AlreadyJournaledStrayCommitReplaysCleanly) {
+  // A WAL written before the range check existed may already hold such a
+  // record; replay runs the same dispatch, so it is skipped there too.
+  constexpr int kN = 2;
+  TempFile tmp("stray_commit_log");
+  {
+    LogStore log(tmp.path);
+    log.replay([](BytesView) {});
+    wire::Writer w;
+    w.put_u32(0);  // sender: node 0
+    w.put_raw(stray_commit(kN));
+    ASSERT_TRUE(log.append(w.buffer()));
+  }
+  sim::Scheduler sched;
+  net::Network net(sched, Rng(14), net::DelayModel{1, 2});
+  PersistentServer server(kN, net, tmp.path);
+  EXPECT_EQ(server.recovered_records(), 1u);
+  EXPECT_EQ(ustor::encode_server_state(server.core()),
+            ustor::encode_server_state(ustor::ServerCore(kN)));
+}
+
+// --- One dispatch path: durable and in-memory servers answer the same -----
+
+/// Records a live run's server-bound traffic, in delivery order.
+struct ScriptTap : net::Node {
+  net::Node* target = nullptr;
+  std::vector<std::pair<NodeId, Bytes>> script;
+  void on_message(NodeId from, BytesView msg) override {
+    script.emplace_back(from, Bytes(msg.begin(), msg.end()));
+    target->on_message(from, msg);
+  }
+  void on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) override {
+    script.emplace_back(from, *msg);
+    target->on_shared_message(from, msg);
+  }
+};
+
+/// A transport that only records what is sent through it.
+struct SendLog : net::Transport {
+  std::vector<std::pair<NodeId, Bytes>> sent;
+  void attach(NodeId, net::Node&) override {}
+  void detach(NodeId) override {}
+  void send(NodeId, NodeId to, Bytes msg) override { sent.emplace_back(to, std::move(msg)); }
+};
+
+/// A seeded message script over three chunked-digest, delta-speaking
+/// clients: writer 1 edits its value by SUBMIT_DELTA while clients 2 and 3
+/// read it with advertised bases that are current, inside the depth-8
+/// history, or older than it; client 2 piggybacks its COMMITs. The script
+/// is then doctored: client 3's SUBMITs move ahead of the COMMIT they
+/// follow (the server must park them), half of client 2's standalone
+/// COMMITs are lost (their piggybacked copies must do the work), and a
+/// few SUBMITs are delivered twice.
+std::vector<std::pair<NodeId, Bytes>> delta_script(std::uint64_t seed) {
+  constexpr int kN = 3;
+  sim::Scheduler sched;
+  net::Network net(sched, Rng(seed), net::DelayModel{1, 2});
+  auto sigs = crypto::make_hmac_scheme(kN);
+  std::vector<std::unique_ptr<ustor::Client>> clients;
+  for (ClientId i = 1; i <= kN; ++i) {
+    clients.push_back(std::make_unique<ustor::Client>(
+        i, kN, sigs, net, kServerNode, 4096, ustor::DigestMode::kChunked, /*wire_deltas=*/true));
+  }
+  clients[1]->set_attach_commits(true);
+  ustor::Server live(kN, net);
+  ScriptTap tap;
+  tap.target = &live;
+  net.attach(kServerNode, tap);
+
+  const auto settle = [&](const bool& done) {
+    while (!done && sched.step()) {
+    }
+    EXPECT_TRUE(done);
+    sched.run();
+  };
+  const auto read = [&](ClientId i, ClientId j) {
+    bool done = false;
+    clients[static_cast<std::size_t>(i - 1)]->readx(j, [&](const ustor::ReadResult&) {
+      done = true;
+    });
+    settle(done);
+  };
+  Rng rng(seed);
+  Bytes value(3000);
+  for (auto& b : value) b = static_cast<std::uint8_t>(rng.next_u64());
+  bool done = false;
+  clients[0]->writex(value, [&](const ustor::WriteResult&) { done = true; });
+  settle(done);
+  const auto delta_write = [&] {
+    const crypto::Hash base = crypto::ChunkedHasher::digest(value);
+    const std::size_t off = rng.next_u64() % (value.size() - 16);
+    Bytes insert(16);
+    for (auto& b : insert) b = static_cast<std::uint8_t>(rng.next_u64());
+    std::copy(insert.begin(), insert.end(), value.begin() + static_cast<std::ptrdiff_t>(off));
+    std::vector<ustor::Splice> splices{ustor::Splice{off, insert.size(), std::move(insert)}};
+    bool wrote = false;
+    clients[0]->writex_delta(base, crypto::ChunkedHasher::digest(value), value.size(),
+                             std::move(splices), [&](const ustor::WriteResult&) { wrote = true; });
+    settle(wrote);
+  };
+
+  read(2, 1);
+  read(3, 1);
+  for (int round = 0; round < 6; ++round) {
+    // 1..3 edits (inside the history) or 10 (past it), then reads.
+    const int edits = round == 2 || round == 4 ? 10 : 1 + static_cast<int>(rng.next_u64() % 3);
+    for (int e = 0; e < edits; ++e) delta_write();
+    read(2, 1);
+    read(3, 1);
+    read(3, 1);  // base current: "unchanged"
+    read(2, 3);  // a ⊥ register
+  }
+  std::uint64_t advertised = 0, unchanged = 0, spliced = 0;
+  for (const auto& c : clients) {
+    advertised += c->delta_reads_advertised();
+    unchanged += c->delta_replies_unchanged();
+    spliced += c->delta_replies_spliced();
+    EXPECT_FALSE(c->failed());
+    EXPECT_EQ(c->delta_fallbacks(), 0u);
+  }
+  EXPECT_GT(unchanged, 0u);
+  EXPECT_GT(spliced, 0u);
+  EXPECT_GT(advertised, unchanged + spliced) << "some bases must be older than the history";
+
+  std::vector<std::pair<NodeId, Bytes>> script = std::move(tap.script);
+  const auto type_of = [&](std::size_t k) { return ustor::peek_type(script[k].second); };
+  // Client 3 never piggybacks: move each of its SUBMITs ahead of the
+  // COMMIT (of its previous op) it directly follows among its own messages.
+  for (std::size_t k = 1; k < script.size(); ++k) {
+    if (script[k].first != 3 || type_of(k) == ustor::MsgType::kCommit) continue;
+    std::size_t prev = k;
+    while (prev-- > 0 && script[prev].first != 3) {
+    }
+    if (prev < k && type_of(prev) == ustor::MsgType::kCommit) {
+      std::rotate(script.begin() + static_cast<std::ptrdiff_t>(prev),
+                  script.begin() + static_cast<std::ptrdiff_t>(k),
+                  script.begin() + static_cast<std::ptrdiff_t>(k + 1));
+    }
+  }
+  // Drop every other standalone COMMIT of client 2: its next SUBMIT's
+  // piggyback then carries that COMMIT and advances SVER[2] itself.
+  bool drop = false;
+  std::erase_if(script, [&](const std::pair<NodeId, Bytes>& m) {
+    if (m.first != 2 || ustor::peek_type(m.second) != ustor::MsgType::kCommit) return false;
+    drop = !drop;
+    return drop;
+  });
+  // Duplicates: re-deliver a few SUBMITs somewhere after their original.
+  for (int d = 0; d < 6; ++d) {
+    std::size_t k = rng.next_u64() % script.size();
+    while (type_of(k) == ustor::MsgType::kCommit) k = (k + 1) % script.size();
+    const std::size_t at = k + 1 + rng.next_u64() % (script.size() - k);
+    auto copy = script[k];
+    script.insert(script.begin() + static_cast<std::ptrdiff_t>(at), std::move(copy));
+  }
+  return script;
+}
+
+TEST(DurableDispatch, DurableAndInMemoryServersAnswerTheSame) {
+  constexpr int kN = 3;
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    SCOPED_TRACE(seed);
+    const auto script = delta_script(seed);
+    TempDirFixture dir("same_answers_" + std::to_string(seed));
+    SendLog mem_out;
+    SendLog durable_out;
+    ustor::Server mem(kN, mem_out);
+    auto owned = std::make_unique<PersistentServer>(kN, durable_out, dir.path,
+                                                    DurabilityOptions{5});
+    PersistentServer& durable = *owned;
+    for (std::size_t k = 0; k < script.size(); ++k) {
+      const auto& [from, bytes] = script[k];
+      if (k % 2 == 0) {
+        const auto shared = std::make_shared<const Bytes>(bytes);
+        mem.on_shared_message(from, shared);
+        durable.on_shared_message(from, shared);
+      } else {
+        mem.on_message(from, bytes);
+        durable.on_message(from, bytes);
+      }
+    }
+    EXPECT_GT(mem.parked_submits(), 0u);
+    EXPECT_GT(mem.duplicate_replies(), 0u);
+    EXPECT_GT(durable.snapshots_written(), 0u);
+    // Every standalone COMMIT and every non-duplicate SUBMIT is journaled
+    // once; anything beyond that is a piggybacked COMMIT that advanced SVER.
+    std::uint64_t commits = 0;
+    for (const auto& m : script) commits += ustor::peek_type(m.second) == ustor::MsgType::kCommit;
+    const std::uint64_t submits = script.size() - commits;
+    EXPECT_GT(durable.wal_records(), commits + submits - durable.duplicate_replies());
+    EXPECT_EQ(durable.parked_submits(), mem.parked_submits());
+    EXPECT_EQ(durable.duplicate_replies(), mem.duplicate_replies());
+    ASSERT_EQ(durable_out.sent.size(), mem_out.sent.size());
+    for (std::size_t k = 0; k < mem_out.sent.size(); ++k) {
+      ASSERT_EQ(durable_out.sent[k], mem_out.sent[k]) << "reply " << k;
+    }
+    const Bytes state = ustor::encode_server_state(mem.core());
+    EXPECT_EQ(ustor::encode_server_state(durable.core()), state);
+
+    // And a restart from that directory lands in the same state.
+    owned.reset();
+    PersistentServer recovered(kN, durable_out, dir.path, DurabilityOptions{5});
+    EXPECT_TRUE(recovered.recovered_from_snapshot());
+    EXPECT_EQ(ustor::encode_server_state(recovered.core()), state);
+  }
 }
 
 }  // namespace

@@ -336,6 +336,50 @@ TEST(StoreApi, BatchReadPointsSplitMutationRuns) {
       << "split runs are separate publications";
 }
 
+TEST(StoreApi, GetsAndListFromOneSnapshotAgree) {
+  // A batch's adjacent reads share one snapshot per shard: its gets look
+  // keys up in the merged view (MergedView::find, no merge) and its list
+  // reads the merged map (MergedView::all). Both must tell the same story
+  // — first on a fresh snapshot, then on unchanged ones served from the
+  // merged-view memo, in either order.
+  SingleBackend single(9);
+  ShardedBackend sharded(3, 9, shard::ExecMode::kDeterministic);
+  for (Backend* b : {static_cast<Backend*>(&single), static_cast<Backend*>(&sharded)}) {
+    SCOPED_TRACE(b->name());
+    for (ClientId w = 1; w <= kClients; ++w) {
+      for (int k = 0; k < 6; ++k) {
+        // Writers collide on every key; equal seqs break ties by writer.
+        if ((k + w) % 4 == 0) continue;
+        b->store(w).put("key" + std::to_string(k), "v" + std::to_string(k) + "-" +
+                                                       std::to_string(w)).settle();
+      }
+    }
+    b->store(2).erase("key3").settle();
+    std::vector<std::string> keys = {"absent"};
+    for (int k = 0; k < 6; ++k) keys.push_back("key" + std::to_string(k));
+    for (int round = 0; round < 3; ++round) {
+      std::vector<Op> ops;
+      if (round != 1) ops.push_back(Op::list());
+      for (const auto& key : keys) ops.push_back(Op::get(key));
+      if (round == 1) ops.push_back(Op::list());
+      const BatchResult r = b->store(3).apply(std::move(ops)).settle();
+      ASSERT_TRUE(r.ok);
+      const ListResult& listed = r.results[round == 1 ? keys.size() : 0].list;
+      EXPECT_TRUE(listed.complete);
+      // key3 survives writer 2's erase through writer 3's entry.
+      EXPECT_EQ(listed.entries.size(), 6u);
+      for (std::size_t q = 0; q < keys.size(); ++q) {
+        const GetResult& g = r.results[q + (round == 1 ? 0 : 1)].get;
+        const auto it = listed.entries.find(keys[q]);
+        ASSERT_EQ(g.entry.has_value(), it != listed.entries.end()) << keys[q];
+        if (g.entry.has_value()) {
+          EXPECT_EQ(*g.entry, it->second) << keys[q];
+        }
+      }
+    }
+  }
+}
+
 // --- Tickets -----------------------------------------------------------------
 
 TEST(StoreApi, TicketLifecycle) {
