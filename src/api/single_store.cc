@@ -33,12 +33,13 @@ class SingleStore final : public Store {
       auto prev_fail = faust_.on_fail;
       faust_.on_fail = [this, prev_fail = std::move(prev_fail)](FailureReason reason) {
         if (prev_fail) prev_fail(reason);
-        settle_all();
+        // The event first: a caller woken by a settled op sees it already.
         Event e;
         e.kind = Event::Kind::kShardFailed;
         e.shard = 0;
         e.reason = reason;
         emit(e);
+        settle_all();
       };
       chained_stable_ = faust_.on_stable;
       auto prev_stable = faust_.on_stable;

@@ -634,20 +634,19 @@ void KvClient::finish_snapshot(const std::shared_ptr<Snapshot>& snap) {
     snap->done(MergedView(std::move(snap->parts)), ts, origin);
     return;
   }
-  const std::shared_ptr<MergedMemo> memo = merged_memo_;  // pinned across the callback
-  if (snap->fps == memo->fps) {
+  if (snap->fps == merged_fps_) {
     // Every register returned the same verified content as the memoized
     // snapshot: a list replays its merged map instead of merging again.
     ++merged_cache_hits_;
   } else {
-    memo->fps = snap->fps;
-    memo->map.reset();
+    merged_fps_ = snap->fps;
+    merged_map_.reset();
   }
-  const MergedView view(std::move(snap->parts), memo->map);
+  const MergedView view(std::move(snap->parts), merged_map_);
   snap->done(view, ts, origin);
   // Memoize a map the callback had all() build, unless the memo moved on
   // to another snapshot meanwhile.
-  if (!memo->map && view.built() && memo->fps == snap->fps) memo->map = view.built();
+  if (!merged_map_ && view.built() && merged_fps_ == snap->fps) merged_map_ = view.built();
 }
 
 void KvClient::get(const std::string& key, GetHandler done) {

@@ -426,13 +426,9 @@ class KvClient {
 
   std::vector<PartMemo> part_memo_;  // [j-1]: version-keyed decode memo
   // Merged-view memo: the fingerprints of the last snapshot and, once a
-  // list asked for it, the merged map of exactly those partitions. Shared
-  // so a snapshot can pin it across the user callback.
-  struct MergedMemo {
-    std::vector<PartFp> fps;
-    std::shared_ptr<const MergedView::Map> map;
-  };
-  std::shared_ptr<MergedMemo> merged_memo_ = std::make_shared<MergedMemo>();
+  // list asked for it, the merged map of exactly those partitions.
+  std::vector<PartFp> merged_fps_;
+  std::shared_ptr<const MergedView::Map> merged_map_;
 
   Timestamp last_snapshot_ts_ = 0;
 

@@ -35,7 +35,9 @@ ShardedKvClient::ShardedKvClient(ShardedCluster& deployment, ClientId id, kv::Kv
   }
   // Surface each shard's fail_i through the sharded client, preserving
   // any handler the harness installed before us, and flush the ops the
-  // halted FaustClient would otherwise leave dangling. The handler swap
+  // halted FaustClient would otherwise leave dangling. on_fail runs
+  // first, so a caller woken by a settled op already sees the failure
+  // reported. The handler swap
   // mutates FaustClient state, so it runs on the shard's own thread; if
   // a shard's runtime is already stopped the swap never happens and the
   // destructor must not "restore" anything there.
@@ -47,8 +49,8 @@ ShardedKvClient::ShardedKvClient(ShardedCluster& deployment, ClientId id, kv::Kv
       auto prev = f.on_fail;
       f.on_fail = [this, s, prev = std::move(prev)](FailureReason reason) {
         if (prev) prev(reason);
-        settle_failed_shard(s);
         if (on_fail) on_fail(s, reason);
+        settle_failed_shard(s);
       };
     });
   }

@@ -171,6 +171,8 @@ class ShardedKvClient {
   void list(ListHandler done, bool bypass_cache = false);
 
   /// fail_i of any shard's underlying FaustClient, with the shard index.
+  /// Invoked before that shard's in-flight ops are settled, so their
+  /// callers observe the failure already reported.
   /// Threaded mode: invoked on the failing shard's thread; install it
   /// before traffic starts and treat it as a cross-thread callback.
   FailHandler on_fail;

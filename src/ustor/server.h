@@ -173,7 +173,8 @@ class ServerCore {
   /// each MemEntry's delta bookkeeping (digest and history) too, so a
   /// restored core answers advertised-base reads exactly as the core it
   /// was exported from would — the replies recovery recomputes for the
-  /// log suffix are byte-identical to the ones sent live. Vector sizes
+  /// log suffix are byte-identical to the ones sent live (an image in
+  /// the earlier format restores with that bookkeeping empty). Vector sizes
   /// must match n (FAUST_CHECKed).
   void restore(std::vector<MemEntry> mem, ClientId c, std::vector<SignedVersion> sver,
                std::vector<InvocationTuple> concurrent, std::vector<Bytes> proofs,

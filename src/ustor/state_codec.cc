@@ -46,9 +46,12 @@ bool get_version(wire::Reader& r, int n, Version* out) {
   return true;
 }
 
-// "FST2": format version 2 (version 1 lacked the delta bookkeeping; a
-// version-1 image is rejected and recovery replays the log instead).
+// "FST2": format version 2, which adds each register's delta bookkeeping.
+// A version-1 ("FST1") image still restores, with every register's digest
+// unknown and its history empty: the log may no longer hold the records
+// such a snapshot covers, and an empty history only costs reply size.
 constexpr std::uint32_t kMagic = 0x46535432;
+constexpr std::uint32_t kMagicV1 = 0x46535431;
 // Caps against a corrupted length field forcing a huge allocation; far
 // above anything a real deployment produces (L and the schedule are
 // pruned/bounded by the protocol's own dynamics, n by kMaxN upstream).
@@ -146,7 +149,8 @@ Bytes encode_server_state(const ServerCore& core) {
 
 bool restore_server_state(ServerCore& core, BytesView image) {
   wire::Reader r(image);
-  if (r.get_u32() != kMagic) return false;
+  const std::uint32_t magic = r.get_u32();
+  if (magic != kMagic && magic != kMagicV1) return false;
   const std::uint32_t n = r.get_u32();
   if (!r.ok() || n != static_cast<std::uint32_t>(core.n())) return false;
 
@@ -163,7 +167,7 @@ bool restore_server_state(ServerCore& core, BytesView image) {
     const BytesView sig = r.get_bytes_view();
     if (wire::Reader::is_error(sig)) return false;
     me.data_sig = SharedBytes::copy_of(sig);
-    if (!get_delta_state(r, &me)) return false;
+    if (magic == kMagic && !get_delta_state(r, &me)) return false;
   }
 
   const std::uint32_t c = r.get_u32();

@@ -10,7 +10,12 @@
 // so without it the replies recovery recomputes for the log suffix would
 // differ from the ones sent live, and a duplicate SUBMIT after a restart
 // would be echoed with bytes its client never saw (which D10's reply
-// fingerprint check would take for fork evidence).
+// fingerprint check would take for fork evidence). An image in the
+// earlier format, which lacks that bookkeeping, still restores, with
+// every digest unknown and every history empty (until a register is next
+// written, a read of it gets a compact reply only when its base is current).
+// Rejecting it would force a full log replay, which is wrong once the
+// log no longer holds the records the snapshot covers.
 //
 // Encoding goes through wire::Writer/Reader (DESIGN.md D3), so an image
 // has a unique byte representation; decode is defensive (false on any

@@ -515,6 +515,140 @@ TEST(PersistentServerTest, AlreadyJournaledStrayCommitReplaysCleanly) {
             ustor::encode_server_state(ustor::ServerCore(kN)));
 }
 
+/// A state image in the earlier ("FST1") layout: encode_server_state
+/// without the per-register delta bookkeeping.
+Bytes encode_v1_state(const ustor::ServerCore& core) {
+  const auto put_version = [](wire::Writer& w, const ustor::Version& v) {
+    w.put_u32(static_cast<std::uint32_t>(v.V.size()));
+    for (const Timestamp t : v.V) w.put_u64(t);
+    for (const ustor::Digest& d : v.M) {
+      w.put_u8(d.present ? 1 : 0);
+      if (d.present) w.put_raw(BytesView(d.hash.data(), d.hash.size()));
+    }
+  };
+  wire::Writer w;
+  w.put_u32(0x46535431);
+  w.put_u32(static_cast<std::uint32_t>(core.n()));
+  for (ClientId i = 1; i <= core.n(); ++i) {
+    const ustor::ServerCore::MemEntry& me = core.mem(i);
+    w.put_u64(me.t);
+    w.put_u8(me.value.has_value() ? 1 : 0);
+    if (me.value.has_value()) w.put_bytes(me.value->view());
+    w.put_bytes(me.data_sig.view());
+  }
+  w.put_u32(static_cast<std::uint32_t>(core.last_committer()));
+  for (ClientId i = 1; i <= core.n(); ++i) {
+    put_version(w, core.sver(i).version);
+    w.put_bytes(core.sver(i).commit_sig);
+  }
+  w.put_u32(static_cast<std::uint32_t>(core.L().size()));
+  for (const ustor::InvocationTuple& inv : core.L()) {
+    w.put_u32(static_cast<std::uint32_t>(inv.client));
+    w.put_u8(static_cast<std::uint8_t>(inv.oc));
+    w.put_u32(static_cast<std::uint32_t>(inv.target));
+    w.put_bytes(inv.submit_sig);
+  }
+  for (const Bytes& p : core.P()) w.put_bytes(p);
+  w.put_u32(static_cast<std::uint32_t>(core.schedule().size()));
+  for (const ustor::ScheduledOp& op : core.schedule()) {
+    w.put_u32(static_cast<std::uint32_t>(op.client));
+    w.put_u8(static_cast<std::uint8_t>(op.oc));
+    w.put_u32(static_cast<std::uint32_t>(op.target));
+    w.put_u64(op.t);
+  }
+  return w.take();
+}
+
+TEST(PersistentServerTest, VersionOneSnapshotStillRestores) {
+  // A snapshot written in the earlier image format, without the delta
+  // bookkeeping, must still restore: here the log that would let recovery
+  // rebuild the state without it is gone.
+  constexpr int kN = 2;
+  TempDirFixture dir("v1_snapshot");
+  sim::Scheduler sched;
+  net::Network net(sched, Rng(15), net::DelayModel{1, 2});
+  auto sigs = crypto::make_hmac_scheme(kN);
+  ustor::Client c1(1, kN, sigs, net, kServerNode, 4096, ustor::DigestMode::kChunked,
+                   /*wire_deltas=*/true);
+  ustor::Client c2(2, kN, sigs, net, kServerNode, 4096, ustor::DigestMode::kChunked,
+                   /*wire_deltas=*/true);
+  auto server = std::make_unique<PersistentServer>(kN, net, dir.path, DurabilityOptions{});
+
+  const auto settle = [&](const bool& done) {
+    while (!done && sched.step()) {
+    }
+    EXPECT_TRUE(done);
+    sched.run();
+  };
+  Bytes value(3000, 7);
+  const auto delta_write = [&](std::size_t off, std::uint8_t b) {
+    const crypto::Hash base = crypto::ChunkedHasher::digest(value);
+    value[off] = b;
+    std::vector<ustor::Splice> splices{ustor::Splice{off, 1, Bytes(1, b)}};
+    bool done = false;
+    c1.writex_delta(base, crypto::ChunkedHasher::digest(value), value.size(),
+                    std::move(splices), [&](const ustor::WriteResult&) { done = true; });
+    settle(done);
+  };
+  const auto read = [&] {
+    bool done = false;
+    ustor::Value got;
+    c2.readx(1, [&](const ustor::ReadResult& r) {
+      got = r.value;
+      done = true;
+    });
+    settle(done);
+    return got;
+  };
+  bool done = false;
+  c1.writex(value, [&](const ustor::WriteResult&) { done = true; });
+  settle(done);
+  ASSERT_TRUE(read().has_value());
+  delta_write(10, 1);
+  delta_write(2000, 2);
+  ASSERT_TRUE(read().has_value());
+  ASSERT_FALSE(server->core().mem(1).history.empty());
+
+  // Rewrite the snapshot in the version-1 layout, keeping its reply cache.
+  ASSERT_TRUE(server->force_snapshot());
+  const Bytes v1_image = encode_v1_state(server->core());
+  {
+    SnapshotStore store(dir.path + "/snapshot.bin");
+    auto img = store.load();
+    ASSERT_TRUE(img.has_value());
+    wire::Reader r(img->payload);
+    ASSERT_FALSE(wire::Reader::is_error(r.get_bytes_view()));
+    wire::Writer w;
+    w.put_bytes(v1_image);
+    w.put_raw(r.get_raw(r.remaining()));
+    ASSERT_TRUE(store.save(img->log_records, w.buffer()));
+  }
+  net.detach(kServerNode);
+  server.reset();
+  std::filesystem::remove(dir.path + "/wal.log");  // the log is lost
+
+  server = std::make_unique<PersistentServer>(kN, net, dir.path, DurabilityOptions{});
+  EXPECT_TRUE(server->recovered_from_snapshot());
+  EXPECT_EQ(server->recovered_records(), 0u);
+  EXPECT_EQ(encode_v1_state(server->core()), v1_image);
+  EXPECT_FALSE(server->core().mem(1).digest_known);
+  EXPECT_TRUE(server->core().mem(1).history.empty());
+
+  // Clients go on: a read whose base is current, a delta write on top of
+  // the restored value, and a read of it; no fail_i.
+  const std::uint64_t unchanged = c2.delta_replies_unchanged();
+  const ustor::Value same = read();
+  ASSERT_TRUE(same.has_value());
+  EXPECT_EQ(*same, value);
+  EXPECT_EQ(c2.delta_replies_unchanged(), unchanged + 1);
+  delta_write(500, 3);
+  const ustor::Value edited = read();
+  ASSERT_TRUE(edited.has_value());
+  EXPECT_EQ(*edited, value);
+  EXPECT_FALSE(c1.failed());
+  EXPECT_FALSE(c2.failed());
+}
+
 // --- One dispatch path: durable and in-memory servers answer the same -----
 
 /// Records a live run's server-bound traffic, in delivery order.
