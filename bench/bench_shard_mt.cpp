@@ -12,7 +12,7 @@
 // throughput.
 //
 // Both modes run the exact same batches through the same api::Store
-// facade (and the ShardedKvClient engine under it); the only difference
+// (and its per-shard kv::KvClient engines); the only difference
 // is the executor behind the seam (sim::Scheduler vs one
 // rt::ThreadedRuntime per shard). The JSON
 // artifact records hw_cores: on a multi-core host the threaded S=4

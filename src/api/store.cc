@@ -2,6 +2,9 @@
 
 #include <utility>
 
+#include "cache/cache_client.h"
+#include "faust/cluster.h"
+#include "shard/sharded_cluster.h"
 #include "sim/scheduler.h"
 
 namespace faust::api {
@@ -107,6 +110,151 @@ bool StoreCore::breaker_open(std::size_t shard) {
 
 }  // namespace detail
 
+// --- Per-shard record, dispatch and settling -------------------------------
+
+/// This client's presence in one shard's deployment.
+struct Store::Shard {
+  Shard(Cluster& c, ClientId id, kv::KvTuning tuning)
+      : cluster(&c), faust(c.client(id)), kv(faust, tuning) {}
+
+  Cluster* const cluster;
+  FaustClient& faust;
+  /// D8 edge-cache hop (null when the shard has no cache tier). Declared
+  /// before kv so the KvClient holding a raw pointer to it via
+  /// attach_cache is destroyed first.
+  std::unique_ptr<cache::CacheClient> cache;
+  kv::KvClient kv;
+  /// Failure outcome per in-flight op (guarded by Store::mu_).
+  std::map<std::uint64_t, std::function<void()>> pending;
+  /// The handlers found on the FaustClient, chained and restored at
+  /// destruction — but only if the hook swap actually ran (a stopped
+  /// runtime refuses it).
+  FaustClient::FailHandler chained_fail;
+  FaustClient::StableHandler chained_stable;
+  bool hooked = false;
+};
+
+Store::Store(const std::vector<Cluster*>& clusters, ClientId id,
+             const shard::ShardRouter* router, kv::KvTuning tuning)
+    : core_(std::make_shared<detail::StoreCore>()), id_(id), router_(router) {
+  FAUST_CHECK(!clusters.empty());
+  if (clusters.front()->simulated()) {
+    core_->mode = detail::StoreCore::Mode::kStep;
+    core_->sched = &clusters.front()->sched();
+  } else {
+    core_->mode = detail::StoreCore::Mode::kBlock;
+  }
+  for (Cluster* c : clusters) shards_.push_back(std::make_unique<Shard>(*c, id, tuning));
+
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& sh = *shards_[s];
+    Cluster& c = *sh.cluster;
+    // Building the cache hop attaches to the shard's network and the hook
+    // swap mutates FaustClient state: both run on the shard's own thread.
+    // A stopped runtime leaves the shard uncached and unhooked.
+    if (c.cache_options().enabled) {
+      const bool made = dispatch_sync(s, [this, &sh, &c] {
+        sh.cache = std::make_unique<cache::CacheClient>(
+            id_, cache::kCacheNodeId, c.n(), c.sigs(), sh.faust.config().data_digest,
+            c.transport(), c.exec(), c.cache_options().lookup_timeout);
+      });
+      if (made) sh.kv.attach_cache(sh.cache.get());
+    }
+    sh.hooked = dispatch_sync(s, [this, s, &sh] {
+      sh.chained_fail = sh.faust.on_fail;
+      sh.faust.on_fail = [this, s, prev = sh.faust.on_fail](FailureReason reason) {
+        if (prev) prev(reason);
+        // The event first: a caller woken by a settled op sees it already.
+        Event e;
+        e.kind = Event::Kind::kShardFailed;
+        e.shard = s;
+        e.reason = reason;
+        emit(e);
+        settle_shard(s);
+      };
+      sh.chained_stable = sh.faust.on_stable;
+      sh.faust.on_stable = [this, s, &sh, prev = sh.faust.on_stable](
+                               const FaustClient::StabilityCut& w) {
+        if (prev) prev(w);
+        Event e;
+        e.kind = Event::Kind::kStabilityAdvanced;
+        e.shard = s;
+        e.stable_ts = sh.faust.fully_stable_timestamp();
+        emit(e);
+      };
+    });
+  }
+}
+
+Store::~Store() {
+  closing_.store(true, std::memory_order_release);  // chains settle inline
+  // By the destructor contract the deployment is quiescent (threaded:
+  // stopped), so settling inline is safe. Detaching the cache hop and
+  // restoring the hooks mutate state a live shard runtime reads, so —
+  // like their installation — they run on the shard's own thread, and
+  // inline only once that runtime is stopped.
+  for (std::size_t s = 0; s < shards_.size(); ++s) settle_shard(s);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& sh = *shards_[s];
+    const auto teardown = [&sh] {
+      sh.kv.attach_cache(nullptr);
+      sh.cache.reset();
+      if (sh.hooked) {
+        sh.faust.on_fail = std::move(sh.chained_fail);
+        sh.faust.on_stable = std::move(sh.chained_stable);
+      }
+    };
+    if (!dispatch_sync(s, teardown)) teardown();
+  }
+}
+
+bool Store::dispatch(std::size_t s, std::function<void()> body) {
+  Cluster& c = *shards_[s]->cluster;
+  if (c.simulated()) {
+    body();
+    return true;
+  }
+  return c.exec().post(std::move(body)) != 0;
+}
+
+bool Store::dispatch_sync(std::size_t s, const std::function<void()>& body) {
+  Cluster& c = *shards_[s]->cluster;
+  if (c.simulated()) {
+    body();
+    return true;
+  }
+  return exec::post_sync(c.exec(), body);
+}
+
+void Store::issue(std::size_t s, std::function<void()> abort,
+                  std::function<void(std::uint64_t op)> body) {
+  std::uint64_t op;
+  {
+    std::lock_guard lock(mu_);
+    op = ++next_op_;
+    shards_[s]->pending.emplace(op, abort);
+  }
+  if (!dispatch(s, [op, body = std::move(body)] { body(op); })) {
+    if (claim(s, op)) abort();  // runtime stopped: the body never runs
+  }
+}
+
+bool Store::claim(std::size_t s, std::uint64_t op) {
+  std::lock_guard lock(mu_);
+  return shards_[s]->pending.erase(op) > 0;
+}
+
+void Store::settle_shard(std::size_t s) {
+  // Detach first: abort thunks may issue follow-up steps (which re-arm),
+  // and they must run without mu_ held.
+  std::map<std::uint64_t, std::function<void()>> aborts;
+  {
+    std::lock_guard lock(mu_);
+    aborts.swap(shards_[s]->pending);
+  }
+  for (auto& [op, abort] : aborts) abort();
+}
+
 // --- Batch planning and execution ------------------------------------------
 //
 // apply() is the ONE operation path: the single-op forms are batches of
@@ -122,7 +270,7 @@ namespace detail {
 struct Step {
   bool is_mutation = false;
   /// D10: a read step planned while the home shard's breaker was open —
-  /// executed via engine_degraded_snapshot (cache-only, shard untouched).
+  /// executed as KvClient::snapshot_degraded (cache-only, shard untouched).
   bool degraded = false;
   std::vector<std::size_t> op_indices;  // into the batch's op vector
 };
@@ -140,6 +288,7 @@ struct BatchCtx {
   std::map<std::size_t, ListAcc> lists;
   std::size_t chains_left = 0;
   bool ok = true;
+  bool bypass_cache = false;  // list(bypass_cache): engine-only snapshots
   Store::BatchHandler done;
 };
 
@@ -149,6 +298,10 @@ using detail::BatchCtx;
 using detail::Step;
 
 void Store::apply(std::vector<Op> ops, BatchHandler done) {
+  run_batch(std::move(ops), std::move(done), /*bypass_cache=*/false);
+}
+
+void Store::run_batch(std::vector<Op> ops, BatchHandler done, bool bypass_cache) {
   const std::size_t shard_count = shards();
   if (ops.empty()) {
     if (done) done(BatchResult{{}, true});
@@ -158,6 +311,7 @@ void Store::apply(std::vector<Op> ops, BatchHandler done) {
   auto ctx = std::make_shared<BatchCtx>();
   ctx->results.resize(ops.size());
   ctx->op_seqs.resize(ops.size(), 0);
+  ctx->bypass_cache = bypass_cache;
   ctx->done = std::move(done);
 
   // Plan: route every op, coalescing into per-shard step runs, and draw
@@ -194,7 +348,7 @@ void Store::apply(std::vector<Op> ops, BatchHandler done) {
           break;
         }
         own_keys_.insert(op.key);
-        ctx->op_seqs[i] = engine_next_seq();
+        ctx->op_seqs[i] = ++seq_;
         step_for(s, /*mutation=*/true).op_indices.push_back(i);
         break;
       }
@@ -210,7 +364,7 @@ void Store::apply(std::vector<Op> ops, BatchHandler done) {
         // The no-op-erase rule, decided against the plan-time mirror:
         // erasing a key this client does not hold consumes no ticket (and
         // the engines publish nothing for it).
-        if (own_keys_.erase(op.key) > 0) ctx->op_seqs[i] = engine_next_seq();
+        if (own_keys_.erase(op.key) > 0) ctx->op_seqs[i] = ++seq_;
         step_for(s, /*mutation=*/true).op_indices.push_back(i);
         break;
       }
@@ -303,8 +457,8 @@ void Store::run_step(std::size_t s, std::size_t step_index,
       run_step(s, step_index + 1, plan, ctx);
     };
     if (closing_.load(std::memory_order_acquire)) {
-      // begin_close(): settle the rest of the chain without new engine
-      // work (which would re-arm already-drained pending slots).
+      // Destruction: settle the rest of the chain without new engine work
+      // (which would re-arm already-drained pending slots).
       complete(0, /*failed=*/true);
       return;
     }
@@ -317,7 +471,19 @@ void Store::run_step(std::size_t s, std::size_t step_index,
           op.kind == Op::Kind::kPut ? std::optional<std::string>(op.value) : std::nullopt,
           ctx->op_seqs[i]});
     }
-    engine_mutate(s, std::move(changes), complete);
+    issue(s, [complete] { complete(0, /*failed=*/true); },
+          [this, s, changes = std::move(changes), complete](std::uint64_t op) {
+            Shard& sh = *shards_[s];
+            if (sh.faust.failed()) {
+              if (claim(s, op)) complete(0, /*failed=*/true);
+              return;
+            }
+            // One publication for the whole run (all-no-op runs publish
+            // nothing and report ts=0).
+            sh.kv.apply_with_seqs(changes, [this, s, op, complete](Timestamp t) {
+              if (claim(s, op)) complete(t, /*failed=*/false);
+            });
+          });
     return;
   }
 
@@ -372,16 +538,39 @@ void Store::run_step(std::size_t s, std::size_t step_index,
         run_step(s, step_index + 1, plan, ctx);
       };
   if (closing_.load(std::memory_order_acquire)) {
-    // begin_close(): settle the rest of the chain without new engine
-    // work (which would re-arm already-drained pending slots).
-    snapshot_complete(nullptr, 0, kv::ReadOrigin{});
+    snapshot_complete(nullptr, 0, kv::ReadOrigin{});  // destruction, as above
     return;
   }
-  if (degraded) {
-    engine_degraded_snapshot(s, snapshot_complete);
-  } else {
-    engine_snapshot(s, snapshot_complete);
-  }
+  // The view handed to snapshot_complete is BORROWED: valid only for the
+  // duration of the engine's callback. Gets look their keys up in it
+  // (find: n binary searches, no merge); only kList contributions read
+  // the merged map (all), which the engine memoizes while the shard's
+  // registers stay unchanged.
+  issue(s, [snapshot_complete] { snapshot_complete(nullptr, 0, kv::ReadOrigin{}); },
+        [this, s, degraded, bypass = ctx->bypass_cache, snapshot_complete](std::uint64_t op) {
+          Shard& sh = *shards_[s];
+          if (degraded) {
+            // D10: cache-only, the shard is never contacted — so no
+            // failed() fast path either: verified-stale cache data is no
+            // less authentic after fail_i. A null view (no cache tier, or
+            // a register it cannot serve) reports the shard unreachable.
+            sh.kv.snapshot_degraded([this, s, op, snapshot_complete](
+                                        const kv::MergedView* view, Timestamp ts,
+                                        const kv::ReadOrigin& origin) {
+              if (claim(s, op)) snapshot_complete(view, ts, origin);
+            });
+            return;
+          }
+          if (sh.faust.failed()) {
+            if (claim(s, op)) snapshot_complete(nullptr, 0, kv::ReadOrigin{});
+            return;
+          }
+          sh.kv.snapshot(bypass, [this, s, op, snapshot_complete](const kv::MergedView& view,
+                                                                  Timestamp ts,
+                                                                  const kv::ReadOrigin& origin) {
+            if (claim(s, op)) snapshot_complete(&view, ts, origin);
+          });
+        });
 }
 
 // --- Single-op forms: batches of one ---------------------------------------
@@ -410,12 +599,15 @@ void Store::get(std::string key, GetHandler done) {
   });
 }
 
-void Store::list(ListHandler done) {
+void Store::list(ListHandler done, bool bypass_cache) {
   std::vector<Op> ops;
   ops.push_back(Op::list());
-  apply(std::move(ops), [done = std::move(done)](const BatchResult& b) {
-    if (done) done(b.results[0].list);
-  });
+  run_batch(
+      std::move(ops),
+      [done = std::move(done)](const BatchResult& b) {
+        if (done) done(b.results[0].list);
+      },
+      bypass_cache);
 }
 
 Ticket<PutResult> Store::put(std::string key, std::string value) {
@@ -447,6 +639,25 @@ Ticket<BatchResult> Store::apply(std::vector<Op> ops) {
 
 // --- Stability and failure helpers -----------------------------------------
 
+std::size_t Store::home_shard(std::string_view key) const {
+  return router_ == nullptr ? 0 : router_->shard_of(key);
+}
+
+Timestamp Store::stable_ts(std::size_t s) const {
+  FAUST_CHECK(s < shards_.size());
+  return shards_[s]->faust.fully_stable_timestamp();
+}
+
+bool Store::failed(std::size_t s) const {
+  FAUST_CHECK(s < shards_.size());
+  return shards_[s]->faust.failed();
+}
+
+const kv::KvClient& Store::shard_kv(std::size_t s) const {
+  FAUST_CHECK(s < shards_.size());
+  return shards_[s]->kv;
+}
+
 bool Store::any_failed() const {
   for (std::size_t s = 0; s < shards(); ++s) {
     if (failed(s)) return true;
@@ -464,6 +675,19 @@ bool Store::stable(const GetResult& r) const {
 bool Store::stable(const PutResult& r) const {
   if (r.failed || r.ts == 0) return false;
   return stable_ts(r.shard) >= r.ts;
+}
+
+// --- Factories -------------------------------------------------------------
+
+std::unique_ptr<Store> open_store(Cluster& cluster, ClientId id) {
+  return std::unique_ptr<Store>(new Store({&cluster}, id, /*router=*/nullptr, kv::KvTuning{}));
+}
+
+std::unique_ptr<Store> open_store(shard::ShardedCluster& deployment, ClientId id,
+                                  kv::KvTuning tuning) {
+  std::vector<Cluster*> clusters;
+  for (std::size_t s = 0; s < deployment.shards(); ++s) clusters.push_back(&deployment.shard(s));
+  return std::unique_ptr<Store>(new Store(clusters, id, &deployment.router(), tuning));
 }
 
 }  // namespace faust::api

@@ -1,17 +1,17 @@
 // faust::api::Store — ONE client surface over every deployment shape.
 //
 // The paper's client interface is a single fail-aware store: put/get plus
-// the stable_i / fail_i output actions. After the sharding and threading
-// work the repository grew three divergent C++ surfaces (kv::KvClient,
-// shard::ShardedKvClient, raw FaustClient) with incompatible handler
-// signatures and hand-rolled "step until this flag flips" completion
-// loops in every caller. This facade unifies them (DESIGN.md, decision
-// D4):
+// the stable_i / fail_i output actions. A sharded deployment is S
+// independent copies of it, and a single deployment is simply S=1. Store
+// is that one client (DESIGN.md, decisions D4 and D11):
 //
+//   * one record per shard — the shard's Cluster, this client's
+//     FaustClient there, its kv::KvClient (plus the optional edge-cache
+//     hop), the pending ops in flight on it and the fail_i / stable_i
+//     handlers it chained — with ONE dispatch path, one pending-slot
+//     arm/settle, one hook installer and one teardown around it;
 //   * uniform result structs — PutResult / GetResult / ListResult carry
-//     the same fail/stability context on every backend (a plain
-//     single-deployment get now reports its observing-read timestamp just
-//     like a sharded one);
+//     the same fail/stability context on every backend;
 //   * a completion-token model — every operation takes a plain callback
 //     OR returns an awaitable Ticket<T> whose wait()/settle() resolves
 //     against the deployment's execution substrate through the
@@ -22,16 +22,16 @@
 //     routes each op to its home shard, keeps per-shard program order,
 //     folds adjacent mutations into ONE signed publication and adjacent
 //     reads into ONE merged snapshot per shard, and runs the S per-shard
-//     chains concurrently (genuinely parallel under kThreaded);
-//   * one event subscription — on_event replaces the per-class on_fail /
-//     on_stable hooks: shard failures and stability-cut advances arrive
-//     through a single handler regardless of deployment shape.
+//     chains concurrently (genuinely parallel under kThreaded). The
+//     single-op forms are batches of one;
+//   * one event subscription — on_event delivers shard failures and
+//     stability-cut advances through a single handler regardless of
+//     deployment shape.
 //
-// Backends are built by the open_store() factories: over one Cluster
-// (wrapping kv::KvClient) or over a shard::ShardedCluster (wrapping
-// shard::ShardedKvClient, both execution modes). The legacy classes stay
-// as the internal engines — and as the independently-testable oracles the
-// differential tests replay against.
+// Cross-shard state is only the plan-time sequence counter: every
+// put/erase draws its ticket in program order, so (seq, writer) conflict
+// winners are identical to one un-sharded kv::KvClient replaying the same
+// ops — the independent oracle the differential tests compare against.
 //
 // Threading contract: one logical client = one issuing thread (the
 // paper's well-formed executions). Callbacks and events fire on the
@@ -57,13 +57,14 @@
 #include "common/check.h"
 #include "common/ids.h"
 #include "faust/faust_client.h"  // FailureReason
-#include "kvstore/kv_client.h"   // kv::KvEntry, kv::KvChange
+#include "kvstore/kv_client.h"   // kv::KvClient, kv::KvEntry, kv::KvTuning
 
 namespace faust {
 class Cluster;
 }
 namespace faust::shard {
 class ShardedCluster;
+class ShardRouter;
 }
 namespace faust::sim {
 class Scheduler;
@@ -379,8 +380,8 @@ class Ticket {
 
 /// The unified fail-aware key-value store. Instances come from the
 /// open_store() factories below; the API is identical regardless of
-/// deployment shape (single / sharded) and execution mode (deterministic
-/// / threaded).
+/// deployment shape (single = one shard, or sharded) and execution mode
+/// (deterministic / threaded / process).
 class Store {
  public:
   using PutHandler = std::function<void(const PutResult&)>;
@@ -391,10 +392,12 @@ class Store {
 
   /// Destruction settles every in-flight operation (and with it every
   /// outstanding ticket) with its failure outcome, so handlers are never
-  /// silently dropped. Same contract as the engines underneath: tear the
-  /// store down before (or together with) its deployment, stopping a
-  /// threaded deployment first.
-  virtual ~Store() = default;
+  /// silently dropped, then detaches the cache hops and restores the
+  /// fail_i / stable_i handlers it chained. Tear the store down before
+  /// (or together with) its deployment, and stop() a threaded deployment
+  /// first (or let it go quiescent): the store must not be destroyed and
+  /// the deployment then stepped further while its ops are still pending.
+  ~Store();
 
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
@@ -404,7 +407,10 @@ class Store {
   void put(std::string key, std::string value, PutHandler done);
   void erase(std::string key, PutHandler done);
   void get(std::string key, GetHandler done);
-  void list(ListHandler done);
+  /// `bypass_cache` forces every shard's snapshot through the FAUST
+  /// engine even when the deployment has a cache tier — the authoritative
+  /// view that differential oracles compare.
+  void list(ListHandler done, bool bypass_cache = false);
 
   /// Pipelined batch: ops are routed to their home shards, per-shard
   /// program order is preserved, and the per-shard chains run
@@ -427,7 +433,9 @@ class Store {
   // -- Events ---------------------------------------------------------------
 
   /// Installs the unified event handler. Install before traffic starts;
-  /// under a threaded deployment events fire on shard runtime threads.
+  /// under a threaded deployment events fire on shard runtime threads. A
+  /// shard's kShardFailed fires before its in-flight ops are settled, so
+  /// a caller woken by a settled op observes the failure already.
   void on_event(EventHandler handler) { events_ = std::move(handler); }
 
   // -- Deadlines & degradation (D10) ---------------------------------------
@@ -457,13 +465,13 @@ class Store {
 
   // -- Introspection --------------------------------------------------------
 
-  virtual ClientId id() const = 0;
-  virtual std::size_t shards() const = 0;
-  virtual std::size_t home_shard(std::string_view key) const = 0;
+  ClientId id() const { return id_; }
+  std::size_t shards() const { return shards_.size(); }
+  std::size_t home_shard(std::string_view key) const;
   /// The fully-stable timestamp of this client on shard `s`.
-  virtual Timestamp stable_ts(std::size_t shard) const = 0;
+  Timestamp stable_ts(std::size_t s) const;
   /// fail_i fired on shard `s`. Threaded mode: meaningful at quiescence.
-  virtual bool failed(std::size_t shard) const = 0;
+  bool failed(std::size_t s) const;
   bool any_failed() const;
 
   /// Re-evaluates an earlier result against the CURRENT stability cut
@@ -472,60 +480,54 @@ class Store {
   bool stable(const GetResult& r) const;
   bool stable(const PutResult& r) const;
 
- protected:
-  Store() : core_(std::make_shared<detail::StoreCore>()) {}
+  /// This client's KV engine on shard `s` (tests and harnesses read its
+  /// partition and counters; threaded mode: only from the shard's thread
+  /// or at quiescence).
+  const kv::KvClient& shard_kv(std::size_t s) const;
 
-  // The engine hooks every backend provides; apply() and the single-op
-  // forms are built on nothing else.
+ private:
+  friend std::unique_ptr<Store> open_store(Cluster&, ClientId);
+  friend std::unique_ptr<Store> open_store(shard::ShardedCluster&, ClientId, kv::KvTuning);
 
-  /// Draws the next sequence ticket from the backend's (cross-shard)
-  /// counter. Called at plan time, in batch program order — which is what
-  /// makes a batch's winners and exact per-entry sequence numbers
-  /// identical on every backend, independent of shard-chain execution
-  /// order.
-  virtual std::uint64_t engine_next_seq() = 0;
+  struct Shard;  // per-shard record (store.cc)
 
-  /// `done(ts, failed)` — apply `changes` (with their pre-drawn tickets)
-  /// to shard `s` in one publication (KvClient::apply_with_seqs
-  /// semantics: all-no-op runs publish nothing and report ts=0).
-  using MutateDone = std::function<void(Timestamp ts, bool failed)>;
-  virtual void engine_mutate(std::size_t shard, std::vector<kv::KvClient::SeqChange> changes,
-                             MutateDone done) = 0;
+  /// `clusters[s]` is shard s's deployment; `router` is null for S=1.
+  Store(const std::vector<Cluster*>& clusters, ClientId id, const shard::ShardRouter* router,
+        kv::KvTuning tuning);
 
-  /// `done(view, read_ts, origin)` — one snapshot of shard `s` as a
-  /// kv::MergedView over the n verified partitions it observed (null when
-  /// the shard failed). The view is BORROWED: valid only for the duration
-  /// of the callback. A batch's gets look their keys up in it (find: n
-  /// binary searches, no merge); only kList contributions read the merged
-  /// map (all), which is built once and memoized while the shard's
-  /// registers stay unchanged. `origin` is the snapshot's cache
-  /// provenance (kv::ReadOrigin).
-  using SnapshotDone =
-      std::function<void(const kv::MergedView*, Timestamp, const kv::ReadOrigin&)>;
-  virtual void engine_snapshot(std::size_t shard, SnapshotDone done) = 0;
+  /// Runs `body` on shard `s`'s executor: inline when the shard is
+  /// simulated, post()ed onto its runtime otherwise (protocol objects are
+  /// only touched by their shard's thread). Returns false when a stopped
+  /// runtime refused the post — the body will never run.
+  bool dispatch(std::size_t s, std::function<void()> body);
+  /// dispatch() and wait for the body to run (construction/teardown).
+  bool dispatch_sync(std::size_t s, const std::function<void()>& body);
 
-  /// D10 graceful degradation: a cache-only snapshot of shard `s`, taken
-  /// while its breaker is open — the shard itself is NOT contacted.
-  /// Backends with a cache tier override this to serve expired-but-held
-  /// entries (flagged via origin.cached/as_of); the default reports the
-  /// shard unreachable (null view → Status::kUnavailable).
-  virtual void engine_degraded_snapshot(std::size_t shard, SnapshotDone done) {
-    (void)shard;
-    done(nullptr, 0, kv::ReadOrigin{});
-  }
+  /// Registers one in-flight op on shard `s` with its failure outcome
+  /// `abort` — BEFORE dispatching it, so settling reaches ops whose body
+  /// never got to run — then dispatches `body(op)`. Whoever removes the
+  /// op from the pending map first completes it: the body's completion
+  /// through claim(), or settle_shard() / a refused post through `abort`.
+  void issue(std::size_t s, std::function<void()> abort,
+             std::function<void(std::uint64_t op)> body);
+  /// True exactly once per op, unless settle_shard() took it first.
+  bool claim(std::size_t s, std::uint64_t op);
+  /// Completes every op still in flight on shard `s` with its failure
+  /// outcome (fail_i halts the FaustClient and drops its callbacks).
+  void settle_shard(std::size_t s);
 
-  /// Implementations forward fail_i / stable_i through this.
   void emit(const Event& e) {
     if (events_) events_(e);
   }
 
-  /// Derived destructors call this FIRST. A batch chain whose current
-  /// step is settled by destruction must not issue its REMAINING steps
-  /// into the tearing-down deployment (they would re-arm pending slots
-  /// after the settle pass drained them, and their tickets would never
-  /// resolve); once closing, run_step synthesizes failure outcomes for
-  /// the rest of the chain inline.
-  void begin_close() { closing_.store(true, std::memory_order_release); }
+  /// apply() with the snapshot cache control of list().
+  void run_batch(std::vector<Op> ops, BatchHandler done, bool bypass_cache);
+
+  /// Executes one step of a batch's per-shard chain, then recurses to the
+  /// next from the completion callback (see store.cc).
+  void run_step(std::size_t shard, std::size_t step_index,
+                std::shared_ptr<std::vector<std::vector<detail::Step>>> plan,
+                std::shared_ptr<detail::BatchCtx> ctx);
 
   /// Creates a ticket and issues the op with a callback that resolves it.
   /// `shard` attributes the ticket's wait outcomes to a home shard for
@@ -546,34 +548,46 @@ class Store {
   }
 
   std::shared_ptr<detail::StoreCore> core_;
+  const ClientId id_;
+  const shard::ShardRouter* const router_;  // null: one shard
+  std::vector<std::unique_ptr<Shard>> shards_;
 
- private:
-  /// Executes one step of a batch's per-shard chain, then recurses to the
-  /// next from the completion callback (see store.cc).
-  void run_step(std::size_t shard, std::size_t step_index,
-                std::shared_ptr<std::vector<std::vector<detail::Step>>> plan,
-                std::shared_ptr<detail::BatchCtx> ctx);
+  /// Guards every shard's pending map and next_op_: the only state shared
+  /// across shard threads. Never held across a protocol call or a user
+  /// handler.
+  std::mutex mu_;
+  std::uint64_t next_op_ = 0;
 
-  /// Plan-time mirror of the client's live keys (this store is the only
-  /// writer of its partitions, so the mirror is exact): decides the
-  /// no-op-erase rule without touching shard-thread state. Only the
-  /// issuing thread reads or writes it.
+  /// Plan-time sequence counter and mirror of the client's live keys
+  /// (this store is the only writer of its partitions, so the mirror is
+  /// exact): draw tickets and decide the no-op-erase rule without
+  /// touching shard-thread state. Only the issuing thread uses them.
+  std::uint64_t seq_ = 0;
   std::set<std::string> own_keys_;
 
-  std::atomic<bool> closing_{false};  // see begin_close()
+  /// Set first thing in the destructor: a batch chain whose current step
+  /// is settled by destruction must not issue its REMAINING steps into
+  /// the tearing-down deployment (they would re-arm pending slots after
+  /// the settle pass drained them, and their tickets would never
+  /// resolve); once closing, run_step synthesizes failure outcomes for
+  /// the rest of the chain inline.
+  std::atomic<bool> closing_{false};
 
   EventHandler events_;
 };
 
 // --- Factories -------------------------------------------------------------
 
-/// Opens the store of client `id` over a single FAUST deployment. The
-/// cluster must outlive the store; at most one store (or legacy KvClient)
-/// per (cluster, id).
+/// Opens the store of client `id` over a single FAUST deployment (one
+/// shard). The cluster must outlive the store; at most one store (or
+/// plain KvClient) per (cluster, id).
 std::unique_ptr<Store> open_store(Cluster& cluster, ClientId id);
 
-/// Opens the store of client `id` over a sharded deployment (either
-/// execution mode). Same lifetime rules, against every shard.
-std::unique_ptr<Store> open_store(shard::ShardedCluster& deployment, ClientId id);
+/// Opens the store of client `id` over a sharded deployment (any
+/// execution mode). Same lifetime rules, against every shard. `tuning`
+/// is applied to every per-shard engine (the differential tests force
+/// the legacy encode/decode paths through it).
+std::unique_ptr<Store> open_store(shard::ShardedCluster& deployment, ClientId id,
+                                  kv::KvTuning tuning = {});
 
 }  // namespace faust::api

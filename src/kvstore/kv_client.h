@@ -28,7 +28,6 @@
 // identical in both modes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -267,14 +266,6 @@ class KvClient {
 
   FaustClient& faust() { return faust_; }
   const FaustClient& faust() const { return faust_; }
-
-  /// Coordination hook for the sharded layer: raises the put counter so
-  /// the next put/erase uses a sequence number > `seen`. A ShardedKvClient
-  /// spreads one logical client over S per-shard KvClients; syncing the
-  /// counters before every op makes the (seq, writer) winner of any
-  /// cross-writer conflict identical to a single-deployment oracle, where
-  /// the counter counts ALL of the client's ops, not just one shard's.
-  void advance_seq(std::uint64_t seen) { put_seq_ = std::max(put_seq_, seen); }
 
   /// Current put counter (the seq the most recent put/erase used).
   std::uint64_t put_seq() const { return put_seq_; }

@@ -7,10 +7,10 @@
 #include <mutex>
 #include <thread>
 
+#include "api/store.h"
 #include "common/check.h"
 #include "crypto/chunked_hasher.h"
 #include "exec/executor.h"
-#include "shard/sharded_kv_client.h"
 #include "ustor/messages.h"
 #include "wire/encoder.h"
 
@@ -119,9 +119,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     }
   } join_restarters{restarters};
 
-  std::vector<std::unique_ptr<shard::ShardedKvClient>> kv;
+  std::vector<std::unique_ptr<api::Store>> kv;
   for (ClientId i = 1; i <= config.workload.n_writers; ++i) {
-    kv.push_back(std::make_unique<shard::ShardedKvClient>(sc, i));
+    kv.push_back(api::open_store(sc, i));
   }
 
   // The baseline storm starts BEFORE the first op: every shard's fabric
@@ -153,27 +153,22 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   for (std::uint64_t i = 0; i < config.workload.n_ops; ++i) {
     const Op op = gen.next();
     const std::string key = key_name(op.key);
-    shard::ShardedKvClient& client = *kv[static_cast<std::size_t>(op.writer - 1)];
+    api::Store& client = *kv[static_cast<std::size_t>(op.writer - 1)];
 
     std::atomic<bool> done{false};
+    const auto mark_done = [&done](const auto&) { done.store(true, std::memory_order_release); };
     const auto begin = std::chrono::steady_clock::now();
     switch (op.kind) {
       case Op::Kind::kPut:
         ++result.puts;
-        client.put(key, op.value, [&done](Timestamp) {
-          done.store(true, std::memory_order_release);
-        });
+        client.put(key, op.value, mark_done);
         break;
       case Op::Kind::kGet:
         ++result.reads;
-        client.get(key, [&done](const shard::ShardedGetResult&) {
-          done.store(true, std::memory_order_release);
-        });
+        client.get(key, mark_done);
         break;
       case Op::Kind::kErase:
-        client.erase(key, [&done](Timestamp) {
-          done.store(true, std::memory_order_release);
-        });
+        client.erase(key, mark_done);
         break;
     }
 
@@ -306,11 +301,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
 
   std::atomic<bool> listed{false};
-  shard::ShardedListResult merged;
+  api::ListResult merged;
   // Bypass the cache: the merged view is the authoritative engine state
   // the crash and cache differential oracles compare.
   kv[0]->list(
-      [&](const shard::ShardedListResult& r) {
+      [&](const api::ListResult& r) {
         merged = r;
         listed.store(true, std::memory_order_release);
       },
@@ -326,7 +321,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
 
   if (det) {
     for (std::size_t s = 0; s < config.shards; ++s) {
-      result.shard_stable.push_back(kv[0]->shard_stable_ts(s));
+      result.shard_stable.push_back(kv[0]->stable_ts(s));
     }
   }
 

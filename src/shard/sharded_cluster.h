@@ -101,9 +101,9 @@ class ShardedCluster {
 
   explicit ShardedCluster(ShardedClusterConfig config = {});
 
-  /// Threaded mode: stop()s every runtime. Any ShardedKvClient bound to
-  /// this deployment must be destroyed (or quiescent) first — see
-  /// ShardedKvClient's destructor contract.
+  /// Threaded mode: stop()s every runtime. Any api::Store bound to this
+  /// deployment must be destroyed first, or be quiescent and destroyed
+  /// right after — see the Store destructor contract.
   ~ShardedCluster();
 
   ShardedCluster(const ShardedCluster&) = delete;

@@ -539,7 +539,9 @@ void SocketTransport::handle_writable(Conn& conn) {
   while (!conn.txq.empty() && budget > 0) {
     const Bytes& frame = conn.txq.front().second;
     const std::size_t want = std::min(frame.size() - conn.tx_off, budget);
-    const auto n = ::write(conn.fd, frame.data() + conn.tx_off, want);
+    // MSG_NOSIGNAL: a peer that already hung up costs EPIPE (and the
+    // connection, below), never a process-killing SIGPIPE.
+    const auto n = ::send(conn.fd, frame.data() + conn.tx_off, want, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;

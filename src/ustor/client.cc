@@ -270,7 +270,7 @@ void Client::complete_op() {
   } else {
     ReadResult r;
     r.t = op.t;
-    r.value = last_read_value_;
+    r.value = std::move(last_read_value_);  // check_data() stages it for every read
     r.own = SignedVersion{version_, commit_sig_};
     r.writer = op.target;
     r.writer_version = last_read_writer_version_;

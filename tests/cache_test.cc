@@ -422,7 +422,7 @@ TEST(CacheStore, CachedGetSurfacesOriginAndIsNeverStable) {
   cfg.seed = 28;
   cfg.faust.dummy_read_period = 0;
   cfg.faust.probe_check_period = 0;
-  cfg.cache.enabled = true;  // Cluster owns the node; SingleStore attaches hops
+  cfg.cache.enabled = true;  // Cluster owns the node; the Store attaches hops
   Cluster cluster(cfg);
   auto s1 = api::open_store(cluster, 1);
   auto s2 = api::open_store(cluster, 2);

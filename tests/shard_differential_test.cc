@@ -3,7 +3,7 @@
 // A seeded random workload (puts, erases, point gets) is replayed,
 // op-for-op, against three implementations:
 //
-//   1. ShardedKvClient over a ShardedCluster with S ∈ {1,2,3,4} shards;
+//   1. api::Store over a ShardedCluster with S ∈ {1,2,3,4} shards;
 //   2. the single-deployment oracle: plain KvClient over one Cluster
 //      (the pre-sharding code path, untouched by the shard layer);
 //   3. an in-memory model that re-derives the (seq, writer) merge from
@@ -13,15 +13,15 @@
 // At every quiescent point (each op is driven to completion before the
 // next is issued, and views are compared every CHECK_EVERY ops and at the
 // end) the three merged views must agree key-for-key: same key set, and
-// per key the same (value, writer, seq). The cross-shard seq coordination
-// in ShardedKvClient (KvClient::advance_seq) is exactly what makes this
-// hold — with per-shard counters a conflict's winner could differ from
-// the oracle's.
+// per key the same (value, writer, seq). The Store's one cross-shard
+// sequence counter, drawn at plan time in program order, is exactly what
+// makes this hold — with per-shard counters a conflict's winner could
+// differ from the oracle's.
 //
 // The file also pins the router's contract (determinism, coverage,
 // rendezvous minimal disruption) and the aggregate fail-aware semantics
-// (a forked shard surfaces through the sharded client; stability is
-// per home shard).
+// (a forked shard surfaces through the store's events and results;
+// stability is per home shard).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -34,14 +34,18 @@
 #include "adversary/forking_server.h"
 #include "common/rng.h"
 #include "faust/cluster.h"
+#include "api/store.h"
 #include "kvstore/kv_client.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_cluster.h"
-#include "shard/sharded_kv_client.h"
 #include "ustor/server.h"
 
 namespace faust::shard {
 namespace {
+
+using api::GetResult;
+using api::ListResult;
+using api::PutResult;
 
 // --- Router contract ------------------------------------------------------
 
@@ -198,34 +202,34 @@ struct ShardedRig {
     cfg.shard_template.faust.data_digest = digest;
     cluster = std::make_unique<ShardedCluster>(cfg);
     for (ClientId i = 1; i <= kClients; ++i) {
-      kv.push_back(std::make_unique<ShardedKvClient>(*cluster, i, tuning));
+      kv.push_back(api::open_store(*cluster, i, tuning));
     }
   }
 
   void put(ClientId i, const std::string& k, const std::string& v) {
     bool done = false;
-    kv[static_cast<std::size_t>(i - 1)]->put(k, v, [&](Timestamp) { done = true; });
+    kv[static_cast<std::size_t>(i - 1)]->put(k, v, [&](const PutResult&) { done = true; });
     ASSERT_TRUE(cluster->drive(done, 2'000'000));
   }
   void erase(ClientId i, const std::string& k) {
     bool done = false;
-    kv[static_cast<std::size_t>(i - 1)]->erase(k, [&](Timestamp) { done = true; });
+    kv[static_cast<std::size_t>(i - 1)]->erase(k, [&](const PutResult&) { done = true; });
     ASSERT_TRUE(cluster->drive(done, 2'000'000));
   }
-  ShardedGetResult get(ClientId i, const std::string& k) {
+  GetResult get(ClientId i, const std::string& k) {
     bool done = false;
-    ShardedGetResult out;
-    kv[static_cast<std::size_t>(i - 1)]->get(k, [&](const ShardedGetResult& r) {
+    GetResult out;
+    kv[static_cast<std::size_t>(i - 1)]->get(k, [&](const GetResult& r) {
       out = r;
       done = true;
     });
     EXPECT_TRUE(cluster->drive(done, 2'000'000));
     return out;
   }
-  ShardedListResult list(ClientId i) {
+  ListResult list(ClientId i) {
     bool done = false;
-    ShardedListResult out;
-    kv[static_cast<std::size_t>(i - 1)]->list([&](const ShardedListResult& r) {
+    ListResult out;
+    kv[static_cast<std::size_t>(i - 1)]->list([&](const ListResult& r) {
       out = r;
       done = true;
     });
@@ -234,7 +238,7 @@ struct ShardedRig {
   }
 
   std::unique_ptr<ShardedCluster> cluster;
-  std::vector<std::unique_ptr<ShardedKvClient>> kv;
+  std::vector<std::unique_ptr<api::Store>> kv;
 };
 
 void expect_views_equal(const std::map<std::string, kv::KvEntry>& sharded,
@@ -290,7 +294,7 @@ void run_differential_workload(std::size_t shards, std::uint64_t seed, kv::KvTun
       oracle.erase(who, key);
       model.erase(who, key);
     } else {  // point get, compared across all three on the spot
-      const ShardedGetResult got = sharded.get(who, key);
+      const GetResult got = sharded.get(who, key);
       const std::optional<kv::KvEntry> want_o = oracle.get(who, key);
       const auto m = model.merged();
       const auto want_m = m.find(key);
@@ -303,14 +307,14 @@ void run_differential_workload(std::size_t shards, std::uint64_t seed, kv::KvTun
         EXPECT_EQ(got.entry->seq, want_m->second.seq);
       }
       EXPECT_EQ(got.shard, sharded.kv[0]->home_shard(key));
-      EXPECT_FALSE(got.shard_failed);
+      EXPECT_FALSE(got.failed);
     }
 
     if (op % kCheckEvery == 0 || op == kOps) {
       // Quiescent point: every issued op has completed; all replicas of
       // the truth must agree, from every reader's seat.
       const ClientId reader = static_cast<ClientId>(1 + rng.next_below(kClients));
-      const ShardedListResult sl = sharded.list(reader);
+      const ListResult sl = sharded.list(reader);
       EXPECT_TRUE(sl.complete);
       expect_views_equal(sl.entries, oracle.list(reader), model.merged(), shards, seed, op);
     }
@@ -360,8 +364,8 @@ TEST(ShardDifferential, DeltaAndLegacyModesProduceIdenticalViewsAndStability) {
       forced.put(who, key, value);
     }
   }
-  const ShardedListResult a = delta.list(1);
-  const ShardedListResult b = forced.list(1);
+  const ListResult a = delta.list(1);
+  const ListResult b = forced.list(1);
   EXPECT_TRUE(a.complete);
   ASSERT_EQ(a.entries.size(), b.entries.size());
   for (const auto& [key, want] : b.entries) {
@@ -376,8 +380,8 @@ TEST(ShardDifferential, DeltaAndLegacyModesProduceIdenticalViewsAndStability) {
   for (int k = 0; k <= 12; ++k) {
     const std::string key = k < 12 ? "key-" + std::to_string(k) : "never-written";
     const ClientId who = static_cast<ClientId>(1 + k % kClients);
-    const ShardedGetResult got_delta = delta.get(who, key);
-    const ShardedGetResult got_forced = forced.get(who, key);
+    const GetResult got_delta = delta.get(who, key);
+    const GetResult got_forced = forced.get(who, key);
     ASSERT_EQ(got_delta.entry.has_value(), got_forced.entry.has_value()) << key;
     const auto listed = b.entries.find(key);
     ASSERT_EQ(got_forced.entry.has_value(), listed != b.entries.end()) << key;
@@ -388,14 +392,22 @@ TEST(ShardDifferential, DeltaAndLegacyModesProduceIdenticalViewsAndStability) {
   }
   for (ClientId i = 1; i <= kClients; ++i) {
     for (std::size_t s = 0; s < 2; ++s) {
-      EXPECT_EQ(delta.kv[static_cast<std::size_t>(i - 1)]->shard_stable_ts(s),
-                forced.kv[static_cast<std::size_t>(i - 1)]->shard_stable_ts(s))
+      EXPECT_EQ(delta.kv[static_cast<std::size_t>(i - 1)]->stable_ts(s),
+                forced.kv[static_cast<std::size_t>(i - 1)]->stable_ts(s))
           << "client " << i << " shard " << s;
     }
   }
 }
 
 // --- Aggregate fail-aware semantics ---------------------------------------
+
+std::vector<std::size_t> failed_shards(const api::Store& store) {
+  std::vector<std::size_t> out;
+  for (std::size_t s = 0; s < store.shards(); ++s) {
+    if (store.failed(s)) out.push_back(s);
+  }
+  return out;
+}
 
 TEST(ShardedFailAware, ForkedShardSurfacesThroughShardedClient) {
   // Shard 0's server forks its clients; shard 1 stays correct. The
@@ -414,9 +426,12 @@ TEST(ShardedFailAware, ForkedShardSurfacesThroughShardedClient) {
   adversary::ForkingServer bad(2, sc.shard(0).net());
   ustor::Server good(2, sc.shard(1).net());
 
-  ShardedKvClient kv1(sc, 1), kv2(sc, 2);
+  auto kv1 = api::open_store(sc, 1);
+  auto kv2 = api::open_store(sc, 2);
   std::vector<std::size_t> reported;
-  kv1.on_fail = [&](std::size_t shard, FailureReason) { reported.push_back(shard); };
+  kv1->on_event([&](const api::Event& e) {
+    if (e.kind == api::Event::Kind::kShardFailed) reported.push_back(e.shard);
+  });
 
   // One key per shard (probed from the pool; the router decides homes).
   std::string key0, key1;
@@ -426,53 +441,53 @@ TEST(ShardedFailAware, ForkedShardSurfacesThroughShardedClient) {
   }
 
   bool done = false;
-  kv1.put(key0, "on-forked-shard", [&](Timestamp) { done = true; });
+  kv1->put(key0, "on-forked-shard", [&](const PutResult&) { done = true; });
   ASSERT_TRUE(sc.drive(done));
   done = false;
-  kv1.put(key1, "on-healthy-shard", [&](Timestamp) { done = true; });
+  kv1->put(key1, "on-healthy-shard", [&](const PutResult&) { done = true; });
   ASSERT_TRUE(sc.drive(done));
 
   // Fork shard 0 between its two clients; client 2 writes the same key in
   // the forked world.
   bad.isolate(2);
   done = false;
-  kv2.put(key0, "forked-write", [&](Timestamp) { done = true; });
+  kv2->put(key0, "forked-write", [&](const PutResult&) { done = true; });
   ASSERT_TRUE(sc.drive(done));
 
   sc.run_for(300'000);  // dummy reads + offline protocol expose the fork
 
-  EXPECT_TRUE(kv1.any_shard_failed());
+  EXPECT_TRUE(kv1->any_failed());
   ASSERT_FALSE(reported.empty());
   for (const std::size_t s : reported) EXPECT_EQ(s, 0u);
-  EXPECT_EQ(kv1.failed_shards(), std::vector<std::size_t>{0});
+  EXPECT_EQ(failed_shards(*kv1), std::vector<std::size_t>{0});
   EXPECT_FALSE(sc.shard(1).any_failed()) << "healthy shard must be untouched";
 
   // Gets on the failed shard are flagged, not hung.
   bool got = false;
-  ShardedGetResult r0;
-  kv1.get(key0, [&](const ShardedGetResult& r) {
+  GetResult r0;
+  kv1->get(key0, [&](const GetResult& r) {
     r0 = r;
     got = true;
   });
   ASSERT_TRUE(sc.drive(got));
-  EXPECT_TRUE(r0.shard_failed);
-  EXPECT_FALSE(kv1.stable(r0));
+  EXPECT_TRUE(r0.failed);
+  EXPECT_FALSE(kv1->stable(r0));
 
   // The healthy shard still serves, and a fan-out list reports the gap.
   got = false;
-  ShardedGetResult r1;
-  kv1.get(key1, [&](const ShardedGetResult& r) {
+  GetResult r1;
+  kv1->get(key1, [&](const GetResult& r) {
     r1 = r;
     got = true;
   });
   ASSERT_TRUE(sc.drive(got));
-  EXPECT_FALSE(r1.shard_failed);
+  EXPECT_FALSE(r1.failed);
   ASSERT_TRUE(r1.entry.has_value());
   EXPECT_EQ(r1.entry->value, "on-healthy-shard");
 
   got = false;
-  ShardedListResult l;
-  kv1.list([&](const ShardedListResult& lr) {
+  ListResult l;
+  kv1->list([&](const ListResult& lr) {
     l = lr;
     got = true;
   });
@@ -494,7 +509,7 @@ TEST(ShardedFailAware, MidOperationFailureSettlesInFlightOps) {
   cfg.shard_template.faust.dummy_read_period = 0;  // only user ops in flight
   cfg.shard_template.faust.probe_check_period = 0;
   ShardedCluster sc(cfg);
-  ShardedKvClient kv1(sc, 1);
+  auto kv1 = api::open_store(sc, 1);
 
   std::string key0, key1;
   for (int k = 0; key0.empty() || key1.empty(); ++k) {
@@ -502,10 +517,10 @@ TEST(ShardedFailAware, MidOperationFailureSettlesInFlightOps) {
     (sc.router().shard_of(key) == 0 ? key0 : key1) = key;
   }
   bool done = false;
-  kv1.put(key0, "before", [&](Timestamp) { done = true; });
+  kv1->put(key0, "before", [&](const PutResult&) { done = true; });
   ASSERT_TRUE(sc.drive(done));
   done = false;
-  kv1.put(key1, "healthy", [&](Timestamp) { done = true; });
+  kv1->put(key1, "healthy", [&](const PutResult&) { done = true; });
   ASSERT_TRUE(sc.drive(done));
 
   // Shard 0's server goes silent: ops routed there can never complete on
@@ -513,20 +528,20 @@ TEST(ShardedFailAware, MidOperationFailureSettlesInFlightOps) {
   sc.shard(0).net().crash(kServerNode);
 
   bool got = false;
-  ShardedGetResult gr;
-  kv1.get(key0, [&](const ShardedGetResult& r) {
+  GetResult gr;
+  kv1->get(key0, [&](const GetResult& r) {
     gr = r;
     got = true;
   });
   bool put_done = false;
   Timestamp put_ts = 77;
-  kv1.put(key0, "after-crash", [&](Timestamp t) {
-    put_ts = t;
+  kv1->put(key0, "after-crash", [&](const PutResult& r) {
+    put_ts = r.ts;
     put_done = true;
   });
   bool listed = false;
-  ShardedListResult lr;
-  kv1.list([&](const ShardedListResult& r) {
+  ListResult lr;
+  kv1->list([&](const ListResult& r) {
     lr = r;
     listed = true;
   });
@@ -540,7 +555,7 @@ TEST(ShardedFailAware, MidOperationFailureSettlesInFlightOps) {
   sc.run_for(50'000);
 
   ASSERT_TRUE(got) << "in-flight get must settle on fail_i";
-  EXPECT_TRUE(gr.shard_failed);
+  EXPECT_TRUE(gr.failed);
   EXPECT_EQ(gr.shard, 0u);
   ASSERT_TRUE(put_done) << "in-flight put must settle on fail_i";
   EXPECT_EQ(put_ts, 0u);
@@ -551,12 +566,12 @@ TEST(ShardedFailAware, MidOperationFailureSettlesInFlightOps) {
 
   // Ops issued after the failure keep taking the immediate path.
   got = false;
-  kv1.get(key0, [&](const ShardedGetResult& r) {
+  kv1->get(key0, [&](const GetResult& r) {
     gr = r;
     got = true;
   });
   EXPECT_TRUE(got);
-  EXPECT_TRUE(gr.shard_failed);
+  EXPECT_TRUE(gr.failed);
 }
 
 TEST(ShardedStability, KeyStabilityFollowsItsHomeShardsCut) {
@@ -569,15 +584,15 @@ TEST(ShardedStability, KeyStabilityFollowsItsHomeShardsCut) {
   cfg.shard_template.n = 2;
   cfg.shard_template.faust.dummy_read_period = 300;
   ShardedCluster sc(cfg);
-  ShardedKvClient kv1(sc, 1);
+  auto kv1 = api::open_store(sc, 1);
 
   bool done = false;
-  kv1.put("stab-key", "value", [&](Timestamp) { done = true; });
+  kv1->put("stab-key", "value", [&](const PutResult&) { done = true; });
   ASSERT_TRUE(sc.drive(done));
 
   bool got = false;
-  ShardedGetResult r;
-  kv1.get("stab-key", [&](const ShardedGetResult& res) {
+  GetResult r;
+  kv1->get("stab-key", [&](const GetResult& res) {
     r = res;
     got = true;
   });
@@ -588,13 +603,13 @@ TEST(ShardedStability, KeyStabilityFollowsItsHomeShardsCut) {
 
   // Dummy reads advance the cut; the result must become stable within a
   // bounded number of rounds.
-  bool stable = kv1.stable(r);
+  bool stable = kv1->stable(r);
   for (int rounds = 0; !stable && rounds < 200; ++rounds) {
     sc.run_for(2'000);
-    stable = kv1.stable(r);
+    stable = kv1->stable(r);
   }
   EXPECT_TRUE(stable) << "home shard's cut never covered the read";
-  EXPECT_GE(kv1.shard_stable_ts(r.shard), r.read_ts);
+  EXPECT_GE(kv1->stable_ts(r.shard), r.read_ts);
 }
 
 }  // namespace

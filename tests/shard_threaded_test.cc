@@ -13,9 +13,9 @@
 //      one at a time are deterministic in outcome even when the shard
 //      interleaving is not.
 //   2. Pipelined fan-out: hundreds of in-flight puts/gets/lists issued
-//      across all shards at once (the ShardedKvClient merge paths under
-//      genuine concurrency) all complete, and the final merged view
-//      again equals the model's.
+//      across all shards at once (the api::Store batch chains and list
+//      merges under genuine concurrency) all complete, and the final
+//      merged view again equals the model's.
 //   3. Histories: per-shard register histories recorded with real-time
 //      stamps from concurrent shard threads pass the same
 //      linearizability checker the simulated histories do.
@@ -35,15 +35,18 @@
 #include "checker/history.h"
 #include "checker/linearizability.h"
 #include "common/rng.h"
+#include "api/store.h"
 #include "kvstore/kv_client.h"
 #include "shard/sharded_cluster.h"
-#include "shard/sharded_kv_client.h"
 #include "ustor/messages.h"
 
 namespace faust::shard {
 namespace {
 
 using namespace std::chrono_literals;
+using api::GetResult;
+using api::ListResult;
+using api::PutResult;
 
 constexpr int kClients = 3;
 
@@ -78,9 +81,9 @@ struct Model {
   }
 };
 
-/// A kThreaded deployment plus one ShardedKvClient per logical client.
-/// Destruction stops the shard threads before the clients unwind, per the
-/// ShardedKvClient destructor contract.
+/// A kThreaded deployment plus one api::Store per logical client.
+/// Destruction stops the shard threads before the stores unwind, per the
+/// Store destructor contract.
 struct ThreadedRig {
   ThreadedRig(std::size_t shards, std::uint64_t seed, sim::Time dummy_period = 0) {
     ShardedClusterConfig cfg;
@@ -92,7 +95,7 @@ struct ThreadedRig {
     cfg.shard_template.faust.probe_check_period = 0;
     cluster = std::make_unique<ShardedCluster>(cfg);
     for (ClientId i = 1; i <= kClients; ++i) {
-      kv.push_back(std::make_unique<ShardedKvClient>(*cluster, i));
+      kv.push_back(api::open_store(*cluster, i));
     }
   }
 
@@ -105,35 +108,35 @@ struct ThreadedRig {
   void put(ClientId i, const std::string& k, const std::string& v) {
     auto done = std::make_shared<std::atomic<bool>>(false);
     kv[static_cast<std::size_t>(i - 1)]->put(
-        k, v, [done](Timestamp) { done->store(true, std::memory_order_release); });
+        k, v, [done](const PutResult&) { done->store(true, std::memory_order_release); });
     ASSERT_TRUE(cluster->await(*done)) << "threaded put timed out";
   }
   void erase(ClientId i, const std::string& k) {
     auto done = std::make_shared<std::atomic<bool>>(false);
     kv[static_cast<std::size_t>(i - 1)]->erase(
-        k, [done](Timestamp) { done->store(true, std::memory_order_release); });
+        k, [done](const PutResult&) { done->store(true, std::memory_order_release); });
     ASSERT_TRUE(cluster->await(*done)) << "threaded erase timed out";
   }
-  ShardedGetResult get(ClientId i, const std::string& k) {
+  GetResult get(ClientId i, const std::string& k) {
     struct State {
       std::atomic<bool> done{false};
-      ShardedGetResult out;
+      GetResult out;
     };
     auto st = std::make_shared<State>();
-    kv[static_cast<std::size_t>(i - 1)]->get(k, [st](const ShardedGetResult& r) {
+    kv[static_cast<std::size_t>(i - 1)]->get(k, [st](const GetResult& r) {
       st->out = r;
       st->done.store(true, std::memory_order_release);
     });
     EXPECT_TRUE(cluster->await(st->done)) << "threaded get timed out";
     return st->out;
   }
-  ShardedListResult list(ClientId i) {
+  ListResult list(ClientId i) {
     struct State {
       std::atomic<bool> done{false};
-      ShardedListResult out;
+      ListResult out;
     };
     auto st = std::make_shared<State>();
-    kv[static_cast<std::size_t>(i - 1)]->list([st](const ShardedListResult& r) {
+    kv[static_cast<std::size_t>(i - 1)]->list([st](const ListResult& r) {
       st->out = r;
       st->done.store(true, std::memory_order_release);
     });
@@ -142,7 +145,7 @@ struct ThreadedRig {
   }
 
   std::unique_ptr<ShardedCluster> cluster;
-  std::vector<std::unique_ptr<ShardedKvClient>> kv;
+  std::vector<std::unique_ptr<api::Store>> kv;
 };
 
 void expect_view_equals_model(const std::map<std::string, kv::KvEntry>& got,
@@ -181,7 +184,7 @@ TEST(ShardThreaded, SequentialWorkloadMatchesModel) {
           rig.erase(who, key);
           model.erase(who, key);
         } else {
-          const ShardedGetResult got = rig.get(who, key);
+          const GetResult got = rig.get(who, key);
           const auto m = model.merged();
           const auto want = m.find(key);
           ASSERT_EQ(got.entry.has_value(), want != m.end());
@@ -191,11 +194,11 @@ TEST(ShardThreaded, SequentialWorkloadMatchesModel) {
             EXPECT_EQ(got.entry->seq, want->second.seq);
           }
           EXPECT_EQ(got.shard, rig.kv[0]->home_shard(key));
-          EXPECT_FALSE(got.shard_failed);
+          EXPECT_FALSE(got.failed);
         }
         if (op % kCheckEvery == 0 || op == kOps) {
           const ClientId reader = static_cast<ClientId>(1 + rng.next_below(kClients));
-          const ShardedListResult sl = rig.list(reader);
+          const ListResult sl = rig.list(reader);
           EXPECT_TRUE(sl.complete);
           expect_view_equals_model(sl.entries, model.merged(), shards, seed, op);
         }
@@ -237,13 +240,13 @@ TEST(ShardThreaded, PipelinedFanOutCompletesAndConverges) {
         const std::string key = "c" + std::to_string(c) + "-k" + std::to_string(k);
         const std::string value = "r" + std::to_string(round) + "-" + key;
         rig.kv[static_cast<std::size_t>(c - 1)]->put(key, value,
-                                                     [&](Timestamp) { op_done(); });
+                                                     [&](const PutResult&) { op_done(); });
         model.put(c, key, value);
       }
       // Interleave a fan-out list per client per round: its merge runs
       // concurrently with puts completing on every shard. Snapshot
       // contents are timing-dependent; only completeness is pinned.
-      rig.kv[static_cast<std::size_t>(c - 1)]->list([&](const ShardedListResult& r) {
+      rig.kv[static_cast<std::size_t>(c - 1)]->list([&](const ListResult& r) {
         if (r.complete) lists_ok.fetch_add(1, std::memory_order_relaxed);
         op_done();
       });
@@ -253,11 +256,10 @@ TEST(ShardThreaded, PipelinedFanOutCompletesAndConverges) {
   EXPECT_EQ(lists_ok.load(), kRounds * kClients) << "no shard failed; lists must be complete";
   EXPECT_FALSE(rig.cluster->any_failed());
 
-  const ShardedListResult final_view = rig.list(1);
+  const ListResult final_view = rig.list(1);
   EXPECT_TRUE(final_view.complete);
-  // Pipelined ops draw their cross-shard seq tickets in shard-thread
-  // execution order, which races across shards — so exact seq numbers
-  // are nondeterministic; the converged (value, writer) per key is not
+  // Pipelined ops draw their seq tickets at plan time, in issue order,
+  // but the comparison keeps to the converged (value, writer) per key
   // (per key there is one writer, and its home shard preserves that
   // writer's issue order).
   const auto want = model.merged();
@@ -396,9 +398,9 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
   std::atomic<bool> failed_surfaced{false};
   std::atomic<bool> crashed{false};
   std::atomic<bool> got{false}, put_done{false}, listed{false};
-  ShardedGetResult gr;
+  GetResult gr;
   Timestamp put_ts = 77;
-  ShardedListResult lr;
+  ListResult lr;
 
   ThreadedRig rig(2, /*seed=*/31);
   std::string key0, key1;
@@ -406,13 +408,16 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
     const std::string key = "mid" + std::to_string(k);
     (rig.cluster->router().shard_of(key) == 0 ? key0 : key1) = key;
   }
+  // The event handler is installed before traffic starts (it is read on
+  // the shard threads); only the failure event is of interest here.
+  rig.kv[0]->on_event([&](const api::Event& e) {
+    if (e.kind != api::Event::Kind::kShardFailed) return;
+    EXPECT_EQ(e.shard, 0u);
+    failed_surfaced.store(true, std::memory_order_release);
+  });
   rig.put(1, key0, "before");
   rig.put(1, key1, "healthy");
   if (::testing::Test::HasFatalFailure()) return;
-  rig.kv[0]->on_fail = [&](std::size_t shard, FailureReason) {
-    EXPECT_EQ(shard, 0u);
-    failed_surfaced.store(true, std::memory_order_release);
-  };
 
   // Crash the server from the shard's own thread (the network fabric is
   // owned by it), then issue ops that can never complete on their own.
@@ -422,15 +427,15 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
   });
   ASSERT_TRUE(rig.cluster->await(crashed));
 
-  rig.kv[0]->get(key0, [&](const ShardedGetResult& r) {
+  rig.kv[0]->get(key0, [&](const GetResult& r) {
     gr = r;
     got.store(true, std::memory_order_release);
   });
-  rig.kv[0]->put(key0, "after-crash", [&](Timestamp t) {
-    put_ts = t;
+  rig.kv[0]->put(key0, "after-crash", [&](const PutResult& r) {
+    put_ts = r.ts;
     put_done.store(true, std::memory_order_release);
   });
-  rig.kv[0]->list([&](const ShardedListResult& r) {
+  rig.kv[0]->list([&](const ListResult& r) {
     lr = r;
     listed.store(true, std::memory_order_release);
   });
@@ -443,7 +448,7 @@ TEST(ShardThreaded, MidOperationFailureSettlesInFlightOps) {
   ASSERT_TRUE(rig.cluster->await(got, 60s)) << "in-flight get must settle on fail_i";
   ASSERT_TRUE(rig.cluster->await(put_done, 60s)) << "in-flight put must settle on fail_i";
   ASSERT_TRUE(rig.cluster->await(listed, 60s)) << "fan-out list must deliver healthy shard";
-  EXPECT_TRUE(gr.shard_failed);
+  EXPECT_TRUE(gr.failed);
   EXPECT_EQ(gr.shard, 0u);
   EXPECT_EQ(put_ts, 0u);
   EXPECT_FALSE(lr.complete);

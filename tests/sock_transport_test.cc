@@ -2,14 +2,20 @@
 // return routes over real TCP and UDS sockets, connection pooling,
 // FIFO per (from,to) — including across a peer restart — large frames,
 // the payload-counter mirror + framing-overhead accounting, bounded
-// send queues, and crash fencing. Everything runs on loopback with
-// ephemeral ports; each test owns its runtime and transports.
+// send queues, crash fencing, and peers that hang up mid-stream.
+// Everything runs on loopback with ephemeral ports; each test owns its
+// runtime and transports.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstring>
 #include <condition_variable>
 #include <filesystem>
 #include <memory>
@@ -409,6 +415,61 @@ TEST(SocketTransport, UnroutableSendsAreCountedNotFatal) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(t.wire().unroutable_drops, 1u);
+}
+
+TEST(SocketTransport, PeerHangingUpMidStreamIsADisconnectNotSigpipe) {
+  // A raw listener that accepts, reads for a moment and hangs up, over
+  // and over, while the client floods frames at it: writes keep landing
+  // on connections the peer has already closed. Such a write must fail
+  // with EPIPE and close the connection; it must not raise SIGPIPE, whose
+  // default action kills the whole process. A Unix socket fails the very
+  // first write after the hang-up, so the race is hit on every cycle in
+  // which the client is mid-stream.
+  UdsDir dir;
+  const std::string path = dir.path + "/hangup.sock";
+  const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 16), 0);
+
+  std::atomic<bool> stop{false};
+  std::thread closer([lfd, &stop] {
+    std::uint8_t buf[1 << 16];
+    while (!stop.load(std::memory_order_acquire)) {
+      pollfd lp{lfd, POLLIN, 0};
+      if (::poll(&lp, 1, 10) <= 0) continue;
+      const int fd = ::accept(lfd, nullptr, nullptr);
+      if (fd < 0) continue;
+      const auto hang_up_at = std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+      while (std::chrono::steady_clock::now() < hang_up_at) {
+        pollfd p{fd, POLLIN, 0};
+        if (::poll(&p, 1, 1) > 0 && ::read(fd, buf, sizeof(buf)) <= 0) break;
+      }
+      ::close(fd);
+    }
+  });
+
+  auto rt = make_runtime();
+  SocketTransportConfig cfg;
+  cfg.peers[1] = Endpoint::uds(path);
+  cfg.backoff_min = std::chrono::milliseconds(1);
+  SocketTransport client(*rt, cfg);
+  constexpr std::uint64_t kHangUps = 20;
+  const auto deadline = std::chrono::steady_clock::now() + kWait;
+  // Unpaced bursts keep the transport's loop thread writing almost all
+  // the time, so most hang-ups land between two writes.
+  while (client.wire().disconnects < kHangUps && std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 256; ++i) client.send(2, 1, tagged(1, 256));
+  }
+  stop.store(true, std::memory_order_release);
+  closer.join();
+  ::close(lfd);
+  EXPECT_GE(client.wire().disconnects, kHangUps)
+      << "every hang-up must be counted as a disconnect";
 }
 
 // --- D10 redial backoff -------------------------------------------------------

@@ -2,13 +2,14 @@
 // deployment shape.
 //
 // The same seeded op script (puts, erases, gets, lists, and mixed batch
-// apply()s) is run through open_store() on three backends —
+// apply()s) is run through open_store() on four backends —
 //
-//   (a) a single FAUST deployment (kv::KvClient engine),
+//   (a) a single FAUST deployment,
 //   (b) a sharded deployment in deterministic mode,
-//   (c) a sharded deployment in threaded mode (one OS thread per shard)
+//   (c) a sharded deployment in threaded mode (one OS thread per shard),
+//   (d) a one-shard sharded deployment (a single deployment is S=1)
 //
-// — and every operation's result struct must agree across the three,
+// — and every operation's result struct must agree across the four,
 // after normalizing the deployment-specific coordinates (timestamps and
 // shard indices differ between deployments by construction; presence,
 // values, writers, sequence numbers, failure flags and completeness must
@@ -110,15 +111,16 @@ struct ShardedBackend : Backend {
     cfg.shard_template.faust.probe_check_period = 0;
     cluster = std::make_unique<shard::ShardedCluster>(cfg);
     for (ClientId i = 1; i <= kClients; ++i) stores.push_back(open_store(*cluster, i));
+    label = std::string(cluster->threaded() ? "sharded-threaded" : "sharded-deterministic") +
+            " S=" + std::to_string(shards);
   }
   ~ShardedBackend() override {
     cluster->stop();  // freeze shard threads before the stores unwind
   }
   Store& store(ClientId i) override { return *stores[static_cast<std::size_t>(i - 1)]; }
-  const char* name() const override {
-    return cluster->threaded() ? "sharded-threaded" : "sharded-deterministic";
-  }
+  const char* name() const override { return label.c_str(); }
 
+  std::string label;
   std::unique_ptr<shard::ShardedCluster> cluster;
   std::vector<std::unique_ptr<Store>> stores;
 };
@@ -159,7 +161,7 @@ TEST(StoreApi, SameScriptSameResultsOnEveryBackend) {
   constexpr int kKeyPool = 14;
   constexpr std::uint64_t kSeed = 321;
 
-  // Three backends, one script. (The threaded backend resolves tickets by
+  // Four backends, one script. (The threaded backend resolves tickets by
   // blocking wait(), the deterministic ones by scheduler-stepping
   // settle(); both spellings are exercised below.)
   std::vector<std::unique_ptr<Backend>> backends;
@@ -167,6 +169,8 @@ TEST(StoreApi, SameScriptSameResultsOnEveryBackend) {
   backends.push_back(
       std::make_unique<ShardedBackend>(3, kSeed, shard::ExecMode::kDeterministic));
   backends.push_back(std::make_unique<ShardedBackend>(3, kSeed, shard::ExecMode::kThreaded));
+  backends.push_back(
+      std::make_unique<ShardedBackend>(1, kSeed, shard::ExecMode::kDeterministic));
   Model model;
 
   Rng rng(kSeed);
