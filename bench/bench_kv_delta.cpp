@@ -51,7 +51,7 @@ struct DeltaRig {
     cfg.faust.probe_check_period = 0;
     cfg.faust.data_digest = legacy ? ustor::DigestMode::kFlat : ustor::DigestMode::kChunked;
     cluster = std::make_unique<Cluster>(cfg);
-    const kv::KvTuning tuning{/*incremental_encode=*/!legacy, /*decode_memo=*/!legacy};
+    const kv::KvTuning tuning{/*incremental_encode=*/!legacy};
     for (ClientId i = 1; i <= kWriters; ++i) {
       kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i), tuning));
     }

@@ -11,14 +11,16 @@
 //     K=256 with deltas on (full-value SUBMITs scale with the partition);
 //   * an all-unchanged snapshot read ships O(1) bytes per partition
 //     (REPLY_DELTA "unchanged" tokens, a few hundred bytes vs the full
-//     value — the residue is the version vector + L/P lists, not data).
+//     value — the residue is the version vector + L/P lists, not data);
+//   * a reader whose base is 16 records old still gets splices, not the
+//     full value (the server's delta window, DESIGN.md D12).
 //
 // Byte counts come from the net::Network per-message-type accounting
 // (total_for(tag)), measured as deltas across the timed loop and
 // reported as user counters: submit_bytes_per_op / reply_bytes_per_op
 // sum the full and delta variants of each direction, so the two modes
-// are directly comparable. CI's perf-smoke job parses these counters
-// out of BENCH_wire_delta.json and asserts the 4x bound.
+// are directly comparable. tools/ci_gates.py asserts the 4x bound and the
+// aged-base bound on BENCH_wire_delta.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -58,7 +60,7 @@ struct WireRig {
     cfg.faust.data_digest = ustor::DigestMode::kChunked;
     cfg.faust.wire_deltas = deltas;
     cluster = std::make_unique<Cluster>(cfg);
-    const kv::KvTuning tuning{/*incremental_encode=*/true, /*decode_memo=*/true};
+    const kv::KvTuning tuning{/*incremental_encode=*/true};
     for (ClientId i = 1; i <= kWriters; ++i) {
       kv.push_back(std::make_unique<kv::KvClient>(cluster->client(i), tuning));
     }
@@ -262,6 +264,64 @@ BENCHMARK(BM_WireUnchangedStorm)
     ->Args({16384, 0})
     ->Args({16384, 1})
     ->MinTime(0.1);
+
+/// A reader whose verified base is `age` records old: each iteration the
+/// register's owner makes `age` single-key puts, then client 2 reads that
+/// one register. With the base inside the server's delta window the read
+/// is answered by REPLY_DELTA, so reply_bytes_per_msg (the read replies
+/// only) stays a small fraction of value_bytes, the register's size. Both
+/// counters are seeded and iteration-independent (every iteration has the
+/// same shape), so the CI gate on their ratio holds in smoke runs too.
+void BM_WireAgedBase(benchmark::State& state) {
+  const int total_keys = static_cast<int>(state.range(0));
+  const int age = static_cast<int>(state.range(1));
+  WireRig rig(total_keys, /*deltas=*/true);
+  FaustClient& reader = rig.cluster->client(2);
+  std::uint64_t value_bytes = 0;
+  const auto read_register_1 = [&] {
+    bool done = false;
+    reader.read_ex(1, [&](const ustor::SharedValue& v, Timestamp, const ReadMeta&) {
+      value_bytes = v.has_value() ? v->size() : 0;
+      done = true;
+    });
+    rig.drive(done);
+  };
+  const auto replies_to_reader = [&] {
+    const net::Network& n = rig.cluster->net();
+    ustor::MsgType types[] = {ustor::MsgType::kReply, ustor::MsgType::kReplyDelta};
+    net::ChannelStats sum;
+    for (const ustor::MsgType t : types) {
+      const net::ChannelStats c = n.channel_for(kServerNode, 2, static_cast<std::uint8_t>(t));
+      sum.messages += c.messages;
+      sum.bytes += c.bytes;
+    }
+    return sum;
+  };
+  read_register_1();  // verifies the first base
+  std::uint64_t read_bytes = 0, read_msgs = 0, spliced = 0;
+  int k = 0, v = 4'000'000;
+  for (auto _ : state) {
+    for (int p = 0; p < age; ++p) {
+      rig.put(k, ++v);  // writer 1 owns the keys k % kWriters == 0
+      k = (k + 3 * 7919) % (total_keys - total_keys % kWriters);
+    }
+    const net::ChannelStats before = replies_to_reader();
+    const std::uint64_t spliced_before = reader.engine().delta_replies_spliced();
+    read_register_1();
+    const net::ChannelStats after = replies_to_reader();
+    read_bytes += after.bytes - before.bytes;
+    read_msgs += after.messages - before.messages;
+    spliced += reader.engine().delta_replies_spliced() - spliced_before;
+  }
+  state.counters["keys"] = static_cast<double>(total_keys);
+  state.counters["age"] = static_cast<double>(age);
+  state.counters["value_bytes"] = static_cast<double>(value_bytes);
+  state.counters["reply_bytes_per_msg"] =
+      read_msgs > 0 ? static_cast<double>(read_bytes) / static_cast<double>(read_msgs) : 0.0;
+  state.counters["spliced_share"] =
+      read_msgs > 0 ? static_cast<double>(spliced) / static_cast<double>(read_msgs) : 0.0;
+}
+BENCHMARK(BM_WireAgedBase)->Args({3072, 16})->MinTime(0.1);
 
 }  // namespace
 

@@ -72,7 +72,8 @@ void CacheClient::complete_missed(std::uint64_t req_id) {
 }
 
 CacheClient::Section CacheClient::verify_section(ClientId j, const ReplySectionView& raw,
-                                                 const Base& base) {
+                                                 const Base& base,
+                                                 const std::shared_ptr<const Bytes>* owner) {
   Section out;
   switch (raw.status) {
     case SectionStatus::kMiss:
@@ -128,7 +129,8 @@ CacheClient::Section CacheClient::verify_section(ClientId j, const ReplySectionV
       out.outcome = Outcome::kServed;
       out.writer_ts = raw.writer_ts;
       out.digest = digest;
-      out.value = raw.value;
+      out.value = owner != nullptr ? SharedBytes::slice(*owner, raw.value)
+                                   : SharedBytes::copy_of(raw.value);
       out.as_of = raw.as_of;
       return out;
     }
@@ -138,7 +140,14 @@ CacheClient::Section CacheClient::verify_section(ClientId j, const ReplySectionV
   return out;
 }
 
-void CacheClient::on_message(NodeId from, BytesView msg) {
+void CacheClient::on_message(NodeId from, BytesView msg) { handle_reply(from, msg, nullptr); }
+
+void CacheClient::on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) {
+  handle_reply(from, BytesView(*msg), &msg);
+}
+
+void CacheClient::handle_reply(NodeId from, BytesView msg,
+                               const std::shared_ptr<const Bytes>* owner) {
   if (from != cache_node_) return;  // not our cache: drop
   const auto reply = decode_reply_view(msg);
   if (!reply.has_value()) {
@@ -171,7 +180,7 @@ void CacheClient::on_message(NodeId from, BytesView msg) {
   r.sections.resize(static_cast<std::size_t>(n_));
   for (std::size_t slot = 0; slot < r.sections.size(); ++slot) {
     r.sections[slot] = verify_section(static_cast<ClientId>(slot + 1),
-                                      reply->sections[slot], p.bases[slot]);
+                                      reply->sections[slot], p.bases[slot], owner);
   }
   p.done(r);
 }

@@ -62,7 +62,7 @@ class CacheClient : public net::Node {
     Outcome outcome = Outcome::kMiss;
     Timestamp writer_ts = 0;
     crypto::Hash digest{};  // verified digest (kServed / kUnchanged)
-    BytesView value;        // kServed only; valid during the callback
+    SharedBytes value;      // kServed only: a slice of the reply, shared
     Timestamp as_of = 0;    // freshness horizon (advisory, see file comment)
   };
 
@@ -71,8 +71,9 @@ class CacheClient : public net::Node {
     std::vector<Section> sections;  // [j-1]
   };
 
-  /// Invoked once per lookup, on the executor thread. Section value views
-  /// alias the reply buffer: consume (decode/copy) within the callback.
+  /// Invoked once per lookup, on the executor thread. A served value is a
+  /// slice of the reply buffer when the transport delivered it shared
+  /// (one copy otherwise); keep the SharedBytes to keep the bytes.
   using LookupHandler = std::function<void(const Result&)>;
 
   /// What the caller already holds verified for X_j: present=true
@@ -108,6 +109,7 @@ class CacheClient : public net::Node {
   void fill(std::vector<FillSection> sections);
 
   void on_message(NodeId from, BytesView msg) override;
+  void on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) override;
 
   ClientId id() const { return id_; }
 
@@ -130,8 +132,14 @@ class CacheClient : public net::Node {
   };
 
   /// Verifies one raw reply section against its advertised base; returns
-  /// the checked Section (kRejected on any failure).
-  Section verify_section(ClientId j, const ReplySectionView& raw, const Base& base);
+  /// the checked Section (kRejected on any failure). A served value is a
+  /// slice of `*owner` when given, else a copy.
+  Section verify_section(ClientId j, const ReplySectionView& raw, const Base& base,
+                         const std::shared_ptr<const Bytes>* owner);
+
+  /// One reply, delivered shared (`owner` non-null: served values are
+  /// slices of it) or as a view (served values are copied).
+  void handle_reply(NodeId from, BytesView msg, const std::shared_ptr<const Bytes>* owner);
 
   void complete_missed(std::uint64_t req_id);
 

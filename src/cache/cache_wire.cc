@@ -171,7 +171,7 @@ Bytes encode_fill(const std::vector<FillSection>& sections) {
       w.put_u64(s.writer_ts);
       put_hash(w, s.digest);
       w.put_bytes(BytesView(s.sig));
-      w.put_bytes(BytesView(s.value));
+      w.put_bytes(s.value.view());
     }
     w.put_u64(s.as_of);
   }

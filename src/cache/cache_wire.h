@@ -102,7 +102,7 @@ struct FillSection {
   Timestamp writer_ts = 0;
   crypto::Hash digest{};
   Bytes sig;
-  Bytes value;
+  SharedBytes value;  // the publication or verified read, shared
   Timestamp as_of = 0;
 };
 

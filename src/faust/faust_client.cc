@@ -147,8 +147,10 @@ void FaustClient::write_delta(const crypto::Hash& base_digest, const crypto::Has
 }
 
 void FaustClient::read(ClientId j, ReadHandler done) {
-  read_ex(j, done ? ReadExHandler([done = std::move(done)](const ustor::Value& v, Timestamp t,
-                                                           const ReadMeta&) { done(v, t); })
+  read_ex(j, done ? ReadExHandler([done = std::move(done)](const ustor::SharedValue& v,
+                                                           Timestamp t, const ReadMeta&) {
+    done(ustor::to_owned(v), t);
+  })
                   : ReadExHandler{});
 }
 

@@ -143,7 +143,10 @@ class FaustClient {
   using FailHandler = std::function<void(FailureReason)>;
   using WriteHandler = std::function<void(Timestamp)>;
   using ReadHandler = std::function<void(const ustor::Value&, Timestamp)>;
-  using ReadExHandler = std::function<void(const ustor::Value&, Timestamp, const ReadMeta&)>;
+  /// The value is the verified buffer itself (shared, not copied): keep a
+  /// copy of the SharedValue to pin it past the callback.
+  using ReadExHandler =
+      std::function<void(const ustor::SharedValue&, Timestamp, const ReadMeta&)>;
 
   /// Timers and deferred work go through `exec`; under a
   /// rt::ThreadedRuntime every call into this object must be made from

@@ -1,6 +1,7 @@
 #include "kvstore/kv_client.h"
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -44,6 +45,14 @@ void write_entry_at(Bytes& b, std::size_t off, const PartitionEntry& e) {
   write_u64_at(b, off, e.seq);
 }
 
+/// The view of a verified register value. A signed-but-undecodable buffer
+/// cannot come from a correct writer; it merges as an empty partition.
+std::shared_ptr<const PartitionView> view_of(const SharedBytes& value) {
+  auto decoded = decode_partition(value);
+  return std::make_shared<const PartitionView>(decoded.has_value() ? std::move(*decoded)
+                                                                   : PartitionView{});
+}
+
 Partition::iterator lower_bound_key(Partition& p, std::string_view key) {
   return std::lower_bound(p.begin(), p.end(), key,
                           [](const PartitionEntry& e, std::string_view k) { return e.key < k; });
@@ -65,28 +74,55 @@ Bytes encode_partition(const Partition& p) {
   return out;
 }
 
-std::optional<Partition> decode_partition(BytesView data) {
-  wire::Reader r(data);
+std::size_t PartitionView::find(std::string_view key) const {
+  std::size_t lo = 0;
+  std::size_t hi = entries_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (this->key(mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < entries_.size() && this->key(lo) == key ? lo : entries_.size();
+}
+
+std::optional<PartitionView> decode_partition(SharedBytes data) {
+  const BytesView bytes = data.view();
+  if (bytes.size() > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
+  wire::Reader r(bytes);
   const std::uint32_t count = r.get_u32();
   if (!r.ok() || count > (1u << 20)) return std::nullopt;
-  Partition p;
+  std::vector<PartitionView::Entry> entries;
   // Reserve against the structural bound, not the untrusted header: every
   // real entry occupies at least kEntryFixed bytes, so a short forged
   // buffer claiming 2^20 entries cannot force a large allocation.
-  p.reserve(std::min<std::size_t>(count, r.remaining() / kEntryFixed + 1));
-  for (std::uint32_t k = 0; k < count && r.ok(); ++k) {
-    PartitionEntry e;
-    e.key = to_string(r.get_bytes_view());
-    e.value = to_string(r.get_bytes_view());
-    e.seq = r.get_u64();
+  entries.reserve(std::min<std::size_t>(count, r.remaining() / kEntryFixed + 1));
+  const auto offset_of = [&](BytesView v) {
+    return static_cast<std::uint32_t>(v.data() - bytes.data());
+  };
+  std::string_view prev_key;
+  for (std::uint32_t k = 0; k < count; ++k) {
+    const BytesView key = r.get_bytes_view();
+    const BytesView value = r.get_bytes_view();
+    const std::uint64_t seq = r.get_u64();
     if (!r.ok()) return std::nullopt;
+    const std::string_view key_text(reinterpret_cast<const char*>(key.data()), key.size());
     // Canonical form: encode_partition emits keys in strictly ascending
     // order, so any other order (or a duplicate) is a forgery.
-    if (!p.empty() && e.key <= p.back().key) return std::nullopt;
-    p.push_back(std::move(e));
+    if (k > 0 && key_text <= prev_key) return std::nullopt;
+    prev_key = key_text;
+    entries.push_back(PartitionView::Entry{offset_of(key), static_cast<std::uint32_t>(key.size()),
+                                           offset_of(value),
+                                           static_cast<std::uint32_t>(value.size()), seq});
   }
-  if (!r.ok() || !r.exhausted()) return std::nullopt;
-  return p;
+  if (!r.exhausted()) return std::nullopt;
+  return PartitionView(std::move(data), std::move(entries));
+}
+
+std::optional<PartitionView> decode_partition(BytesView data) {
+  return decode_partition(SharedBytes::copy_of(data));
 }
 
 Bytes encode_map(const std::map<std::string, std::pair<std::string, std::uint64_t>>& m) {
@@ -101,31 +137,31 @@ std::optional<std::map<std::string, std::pair<std::string, std::uint64_t>>> deco
   const auto p = decode_partition(data);
   if (!p.has_value()) return std::nullopt;
   std::map<std::string, std::pair<std::string, std::uint64_t>> m;
-  for (const PartitionEntry& e : *p) {
-    m.emplace_hint(m.end(), e.key, std::pair{e.value, e.seq});
+  for (std::size_t i = 0; i < p->size(); ++i) {
+    const PartitionView::EntryRef e = (*p)[i];
+    m.emplace_hint(m.end(), std::string(e.key), std::pair{std::string(e.value), e.seq});
   }
   return m;
 }
 
 std::optional<KvEntry> MergedView::find(std::string_view key) const {
-  const PartitionEntry* best = nullptr;
+  std::optional<PartitionView::EntryRef> best;
   ClientId best_writer = 0;
   for (std::size_t slot = 0; slot < parts_.size(); ++slot) {
     if (!parts_[slot]) continue;
-    const Partition& p = *parts_[slot];
-    const auto it = std::lower_bound(
-        p.begin(), p.end(), key,
-        [](const PartitionEntry& e, std::string_view k) { return e.key < k; });
-    if (it == p.end() || it->key != key) continue;
+    const PartitionView& p = *parts_[slot];
+    const std::size_t i = p.find(key);
+    if (i == p.size()) continue;
+    const PartitionView::EntryRef e = p[i];
     const ClientId j = static_cast<ClientId>(slot + 1);
     // Winner: lexicographically largest (seq, writer).
-    if (best == nullptr || it->seq > best->seq || (it->seq == best->seq && j > best_writer)) {
-      best = &*it;
+    if (!best || e.seq > best->seq || (e.seq == best->seq && j > best_writer)) {
+      best = e;
       best_writer = j;
     }
   }
-  if (best == nullptr) return std::nullopt;
-  return KvEntry{best->value, best_writer, best->seq};
+  if (!best) return std::nullopt;
+  return KvEntry{std::string(best->value), best_writer, best->seq};
 }
 
 const MergedView::Map& MergedView::all() const {
@@ -134,12 +170,14 @@ const MergedView::Map& MergedView::all() const {
   for (std::size_t slot = 0; slot < parts_.size(); ++slot) {
     if (!parts_[slot]) continue;
     const ClientId j = static_cast<ClientId>(slot + 1);
-    for (const PartitionEntry& e : *parts_[slot]) {
-      auto [it, inserted] = merged->try_emplace(e.key);
+    const PartitionView& p = *parts_[slot];
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      const PartitionView::EntryRef e = p[i];
+      auto [it, inserted] = merged->try_emplace(std::string(e.key));
       // Winner: lexicographically largest (seq, writer) — find()'s rule.
       if (inserted || e.seq > it->second.seq ||
           (e.seq == it->second.seq && j > it->second.writer)) {
-        it->second = KvEntry{e.value, j, e.seq};
+        it->second = KvEntry{std::string(e.value), j, e.seq};
       }
     }
   }
@@ -355,7 +393,7 @@ void KvClient::publish(PutHandler done) {
         fill.digest = fill_digest;
         const BytesView sig = faust_.last_write_sig();
         fill.sig.assign(sig.begin(), sig.end());
-        fill.value = *enc;
+        fill.value = SharedBytes::slice(enc, BytesView(*enc));
         fill.as_of = t;
         ++cache_push_fills_;
         std::vector<cache::FillSection> fills;
@@ -424,19 +462,21 @@ void KvClient::snapshot(bool bypass_cache, ViewHandler done) {
     // this client's own verified decode memos, enabling the O(1)
     // "unchanged" token and arming the bogus-negative rejection.
     snap->tried_cache = true;
-    std::vector<cache::CacheClient::Base> bases(n);
-    if (tuning_.decode_memo) {
-      for (std::size_t slot = 0; slot < n; ++slot) {
-        const PartMemo& memo = part_memo_[slot];
-        if (memo.part) bases[slot] = cache::CacheClient::Base{true, memo.fp.digest};
-      }
-    }
-    cache_->lookup(std::move(bases), [this, snap](const cache::CacheClient::Result& res) {
+    cache_->lookup(memo_bases(), [this, snap](const cache::CacheClient::Result& res) {
       consume_cache_result(snap, res.sections);
     });
     return;
   }
   read_partition(1, std::move(snap));
+}
+
+std::vector<cache::CacheClient::Base> KvClient::memo_bases() const {
+  std::vector<cache::CacheClient::Base> bases(part_memo_.size());
+  for (std::size_t slot = 0; slot < bases.size(); ++slot) {
+    const PartMemo& memo = part_memo_[slot];
+    if (memo.part) bases[slot] = cache::CacheClient::Base{true, memo.fp.digest};
+  }
+  return bases;
 }
 
 void KvClient::consume_cache_result(const std::shared_ptr<Snapshot>& snap,
@@ -460,16 +500,10 @@ void KvClient::fold_cache_sections(const std::shared_ptr<Snapshot>& snap,
         // Verified full value: same trust level as a register read that
         // passed the DATA check, so it feeds the decode memo too.
         const PartFp fp{true, sec.digest};
-        auto decoded = decode_partition(sec.value);
-        auto part = std::make_shared<const Partition>(
-            decoded.has_value() ? std::move(*decoded) : Partition{});
+        auto part = view_of(sec.value);
         snap->fps[slot] = fp;
         snap->parts[slot] = part;
-        if (tuning_.decode_memo) {
-          PartMemo& memo = part_memo_[slot];
-          memo.fp = fp;
-          memo.part = std::move(part);
-        }
+        part_memo_[slot] = PartMemo{fp, std::move(part)};
         snap->resolved[slot] = true;
         ++regs_cache_served_;
         fold_as_of(sec.as_of);
@@ -520,15 +554,8 @@ void KvClient::snapshot_degraded(DegradedHandler done) {
   snap->tried_cache = true;
   ++snapshots_total_;
   ++degraded_snapshots_;
-  std::vector<cache::CacheClient::Base> bases(n);
-  if (tuning_.decode_memo) {
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      const PartMemo& memo = part_memo_[slot];
-      if (memo.part) bases[slot] = cache::CacheClient::Base{true, memo.fp.digest};
-    }
-  }
   cache_->lookup(
-      std::move(bases),
+      memo_bases(),
       [this, snap, done = std::move(done)](const cache::CacheClient::Result& res) mutable {
         fold_cache_sections(snap, res.sections);
         for (std::size_t slot = 0; slot < snap->resolved.size(); ++slot) {
@@ -562,7 +589,8 @@ void KvClient::read_partition(ClientId j, std::shared_ptr<Snapshot> snap) {
     finish_snapshot(snap);
     return;
   }
-  faust_.read_ex(j, [this, j, snap](const ustor::Value& v, Timestamp t, const ReadMeta& meta) {
+  faust_.read_ex(j, [this, j, snap](const ustor::SharedValue& v, Timestamp t,
+                                    const ReadMeta& meta) {
     snap->max_read_ts = std::max(snap->max_read_ts, t);
     ++regs_engine_read_;
     if (snap->tried_cache) {
@@ -587,7 +615,7 @@ void KvClient::read_partition(ClientId j, std::shared_ptr<Snapshot> snap) {
       const PartFp fp{true, meta.value_digest};
       snap->fps[slot] = fp;
       PartMemo& memo = part_memo_[slot];
-      if (tuning_.decode_memo && memo.part && memo.fp == fp) {
+      if (memo.part && memo.fp == fp) {
         // The verified triple matches a previous decode of byte-identical
         // content (digest collision resistance): replay it. A tampered
         // value never gets here — it already failed the DATA-signature
@@ -596,17 +624,8 @@ void KvClient::read_partition(ClientId j, std::shared_ptr<Snapshot> snap) {
         snap->parts[slot] = memo.part;
       } else {
         ++decode_memo_misses_;
-        auto decoded = decode_partition(*v);
-        // A signed-but-undecodable buffer cannot come from a correct
-        // writer; treat it as an empty partition (the pre-memo behaviour
-        // skipped it identically).
-        auto part = std::make_shared<const Partition>(decoded.has_value() ? std::move(*decoded)
-                                                                          : Partition{});
-        snap->parts[slot] = part;
-        if (tuning_.decode_memo) {
-          memo.fp = fp;
-          memo.part = std::move(part);
-        }
+        snap->parts[slot] = view_of(*v);
+        memo = PartMemo{fp, snap->parts[slot]};
       }
     }
     read_partition(j + 1, snap);
@@ -630,10 +649,6 @@ void KvClient::finish_snapshot(const std::shared_ptr<Snapshot>& snap) {
   // freshness horizon instead (see GetExHandler).
   const Timestamp ts = snap->max_read_ts > 0 ? snap->max_read_ts : origin.as_of;
   if (snap->tried_cache && snap->max_read_ts == 0) ++snapshots_cached_;
-  if (!tuning_.decode_memo) {
-    snap->done(MergedView(std::move(snap->parts)), ts, origin);
-    return;
-  }
   if (snap->fps == merged_fps_) {
     // Every register returned the same verified content as the memoized
     // snapshot: a list replays its merged map instead of merging again.

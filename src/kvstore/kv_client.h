@@ -17,15 +17,18 @@
 // tracks the CHANGE SET, not the keyspace. A put patches the single
 // affected entry's bytes in the kept canonical encoding (the sorted-key
 // format makes splice offsets computable) and, under chunked DATA
-// digests, re-hashes only the touched chunks; a register read that
-// returns unchanged verified (writer, digest) content skips decoding via
-// a version-keyed memo. A snapshot is handed out as a MergedView over
-// the n decoded partitions it observed: a get is n binary searches and
-// never merges; only a list builds the merged map, which is memoized
-// until some register changes. KvTuning::{incremental_encode,
-// decode_memo} force the legacy full-reencode/full-decode paths for
-// differential comparison; published bytes and merged views are
-// identical in both modes.
+// digests, re-hashes only the touched chunks. On the read side each
+// verified register version is held once, as the shared buffer the USTOR
+// client (or the cache hop) verified, and decoded once into a
+// PartitionView: an offset index over those pinned bytes that copies no
+// key or value (DESIGN.md D12). A register read that returns unchanged
+// verified (writer, digest) content replays that view from a
+// version-keyed memo. A snapshot is handed out as a MergedView over the n
+// views it observed: a get is n binary searches and copies only the
+// winning value; only a list builds the merged map, which is memoized
+// until some register changes. KvTuning::incremental_encode forces the
+// legacy full-reencode path for differential comparison; published bytes
+// and merged views are identical in both modes.
 #pragma once
 
 #include <cstdint>
@@ -79,42 +82,103 @@ struct PartitionEntry {
   bool operator==(const PartitionEntry&) const = default;
 };
 
-/// A decoded partition: entries in strictly ascending key order. A flat
-/// sorted vector, not a tree — the wire format is already canonically
-/// ordered, so decoding is an append loop plus an adjacency duplicate
-/// check, and lookups are binary searches with no pointer chasing.
+/// A writer's own partition: entries in strictly ascending key order. A
+/// flat sorted vector, not a tree — puts splice it in place and
+/// encode_partition walks it in wire order.
 using Partition = std::vector<PartitionEntry>;
 
 /// Serialization of a partition (canonical: ascending keys, unique).
 Bytes encode_partition(const Partition& p);
 
-/// Strict decode: nullopt on malformed bytes, out-of-order or duplicate
-/// keys, or trailing garbage (any such buffer is a forgery, not a
-/// partition — encode_partition never produces it).
-std::optional<Partition> decode_partition(BytesView data);
+/// A decoded partition as an offset index over its pinned encoding: the
+/// bytes stay where the verifier left them (shared, never copied) and
+/// each entry records where its key and value sit. Copying a view is a
+/// refcount bump plus the index; an entry's views stay valid as long as
+/// any copy of the PartitionView (or of its bytes()) is alive.
+class PartitionView {
+ public:
+  /// One entry, viewed (valid while any copy of the PartitionView is).
+  struct EntryRef {
+    std::string_view key;
+    std::string_view value;
+    std::uint64_t seq = 0;
+  };
+
+  /// The empty partition.
+  PartitionView() = default;
+
+  std::size_t size() const { return entries_.size(); }
+
+  EntryRef operator[](std::size_t i) const {
+    const Entry& e = entries_[i];
+    return EntryRef{text(e.key_off, e.key_len), text(e.val_off, e.val_len), e.seq};
+  }
+
+  /// Index of `key`, or size() when absent (binary search).
+  std::size_t find(std::string_view key) const;
+
+ private:
+  friend std::optional<PartitionView> decode_partition(SharedBytes data);
+
+  /// Offsets are u32: a register value travels under the wire's u32
+  /// length prefix, so no partition is larger.
+  struct Entry {
+    std::uint32_t key_off = 0;
+    std::uint32_t key_len = 0;
+    std::uint32_t val_off = 0;
+    std::uint32_t val_len = 0;
+    std::uint64_t seq = 0;
+  };
+
+  /// Only decode_partition builds a non-empty view: `entries` index
+  /// `bytes` (checked there).
+  PartitionView(SharedBytes bytes, std::vector<Entry> entries)
+      : bytes_(std::move(bytes)), entries_(std::move(entries)) {}
+
+  std::string_view text(std::uint32_t off, std::uint32_t len) const {
+    return std::string_view(reinterpret_cast<const char*>(bytes_.view().data()) + off, len);
+  }
+  std::string_view key(std::size_t i) const {
+    return text(entries_[i].key_off, entries_[i].key_len);
+  }
+
+  SharedBytes bytes_;
+  std::vector<Entry> entries_;
+};
+
+/// Strict decode: nullopt on malformed bytes, more than 2^20 entries,
+/// out-of-order or duplicate keys, or trailing garbage (any such buffer
+/// is a forgery, not a partition — encode_partition never produces it).
+/// The view pins `data`; no key or value is copied.
+std::optional<PartitionView> decode_partition(SharedBytes data);
+
+/// Same decode over borrowed bytes: copies them once into the buffer the
+/// view pins.
+std::optional<PartitionView> decode_partition(BytesView data);
 
 /// Map-based conveniences over the same wire format (tests and models).
 Bytes encode_map(const std::map<std::string, std::pair<std::string, std::uint64_t>>& m);
 std::optional<std::map<std::string, std::pair<std::string, std::uint64_t>>> decode_map(
     BytesView data);
 
-/// The merged view of one snapshot: the n verified, memoized decoded
-/// partitions it observed, merged on demand. The merge rule is the KV
-/// layer's one conflict rule — per key, the entry with the
-/// lexicographically largest (seq, writer) pair wins — applied either to
-/// one key (find) or to every key (all).
+/// The merged view of one snapshot: the n verified, memoized partition
+/// views it observed, merged on demand. The merge rule is the KV layer's
+/// one conflict rule — per key, the entry with the lexicographically
+/// largest (seq, writer) pair wins — applied either to one key (find) or
+/// to every key (all). Copying a MergedView keeps it: the copy pins the
+/// partitions it observed, whatever later snapshots do to the memo.
 class MergedView {
  public:
   using Map = std::map<std::string, KvEntry>;
 
   /// `parts[j-1]` is writer j's partition (null = ⊥). `merged`, when
   /// given, must be the merge of exactly these partitions (a memo).
-  explicit MergedView(std::vector<std::shared_ptr<const Partition>> parts,
+  explicit MergedView(std::vector<std::shared_ptr<const PartitionView>> parts,
                       std::shared_ptr<const Map> merged = nullptr)
       : parts_(std::move(parts)), merged_(std::move(merged)) {}
 
   /// The winning entry for `key`: one binary search per partition, no
-  /// merge.
+  /// merge; copies only the winning value.
   std::optional<KvEntry> find(std::string_view key) const;
 
   /// The full merged map, built on the first call (unless the view was
@@ -125,23 +189,19 @@ class MergedView {
   const std::shared_ptr<const Map>& built() const { return merged_; }
 
  private:
-  std::vector<std::shared_ptr<const Partition>> parts_;
+  std::vector<std::shared_ptr<const PartitionView>> parts_;
   mutable std::shared_ptr<const Map> merged_;
 };
 
-/// Performance knobs (NOT semantics: both settings of each produce
-/// byte-identical publications and identical merged views — the
-/// differential tests replay both). Defaults are the fast paths; the
-/// legacy settings exist as the comparison baseline and escape hatch.
+/// Performance knob (NOT semantics: both settings produce byte-identical
+/// publications and identical merged views — the differential tests
+/// replay both). The default is the fast path; the legacy setting exists
+/// as the comparison baseline and escape hatch.
 struct KvTuning {
   /// Patch the kept canonical encoding in place on each change (false:
   /// re-encode the whole partition on every publish, the pre-O(change)
   /// behaviour).
   bool incremental_encode = true;
-  /// Cache decoded partitions per writer keyed by the VERIFIED (writer,
-  /// digest) pair, plus the merged map keyed by all n pairs (false:
-  /// re-decode every snapshot and re-merge every list).
-  bool decode_memo = true;
 };
 
 /// Key-value facade over one FaustClient.
@@ -162,8 +222,8 @@ class KvClient {
       std::function<void(std::optional<KvEntry>, Timestamp, const ReadOrigin&)>;
   using ListExHandler =
       std::function<void(const std::map<std::string, KvEntry>&, Timestamp, const ReadOrigin&)>;
-  /// A whole snapshot as a MergedView (borrowed: valid only within the
-  /// callback), with the same read_ts/origin contract as GetExHandler.
+  /// A whole snapshot as a MergedView (borrowed for the callback; copy it
+  /// to keep it), with the same read_ts/origin contract as GetExHandler.
   using ViewHandler = std::function<void(const MergedView&, Timestamp, const ReadOrigin&)>;
 
   /// Borrows `faust`; the caller keeps it alive. Multiple KvClients must
@@ -282,7 +342,7 @@ class KvClient {
   /// Publications that patched the kept encoding vs rebuilt it.
   std::uint64_t encode_splices() const { return encode_splices_; }
   std::uint64_t encode_rebuilds() const { return encode_rebuilds_; }
-  /// Register reads whose decoded partition came from / missed the
+  /// Register reads whose partition view came from / missed the
   /// version-keyed memo.
   std::uint64_t decode_memo_hits() const { return decode_memo_hits_; }
   std::uint64_t decode_memo_misses() const { return decode_memo_misses_; }
@@ -330,15 +390,15 @@ class KvClient {
 
   struct PartMemo {
     PartFp fp;
-    std::shared_ptr<const Partition> part;  // null = no memo yet
+    std::shared_ptr<const PartitionView> part;  // null = no memo yet
   };
 
   /// In-flight snapshot accumulator (get/list may overlap; each op
-  /// carries its own, and pins the decoded partitions it observed via
+  /// carries its own, and pins the partition views it observed via
   /// shared ownership, so a concurrent snapshot refreshing a memo slot
   /// cannot mutate what this one merges).
   struct Snapshot {
-    std::vector<std::shared_ptr<const Partition>> parts;  // [j-1]; null = ⊥
+    std::vector<std::shared_ptr<const PartitionView>> parts;  // [j-1]; null = ⊥
     std::vector<PartFp> fps;                              // [j-1]
     Timestamp max_read_ts = 0;
     ViewHandler done;
@@ -377,6 +437,10 @@ class KvClient {
   void log_splice(std::size_t offset, std::size_t erase_len, BytesView insert);
 
   void publish(PutHandler done);
+
+  /// The cache lookup bases: each slot advertises the digest of its
+  /// memoized verified view, if any.
+  std::vector<cache::CacheClient::Base> memo_bases() const;
 
   /// Folds a verified cache lookup result into the snapshot (resolving
   /// served / unchanged / negative slots), then engine-reads the rest.

@@ -9,7 +9,8 @@ namespace faust::ustor {
 namespace {
 
 bool same_bytes(BytesView a, BytesView b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+  return a.size() == b.size() &&
+         (a.data() == b.data() || std::equal(a.begin(), a.end(), b.begin()));
 }
 
 }  // namespace
@@ -149,7 +150,13 @@ void Client::evict_verified_value(ClientId j) {
   }
 }
 
-void Client::on_message(NodeId from, BytesView msg) {
+void Client::on_message(NodeId from, BytesView msg) { receive(from, msg, nullptr); }
+
+void Client::on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) {
+  receive(from, BytesView(*msg), &msg);
+}
+
+void Client::receive(NodeId from, BytesView msg, const std::shared_ptr<const Bytes>* owner) {
   if (failed()) return;  // halted
   if (from != server_) return;
 
@@ -171,14 +178,14 @@ void Client::on_message(NodeId from, BytesView msg) {
   }
   // Zero-copy decode: the view's byte fields alias `msg`, which stays
   // alive for the whole delivery callback. handle_reply copies the few
-  // fields it keeps.
+  // fields it keeps and pins (or copies once) a read's value.
   current_reply_fp_ = reply_fingerprint(msg);
   auto reply = decode_reply_view(msg);
   if (!reply.has_value()) {
     fail(FailCause::kMalformedMessage);
     return;
   }
-  handle_reply(*reply);
+  handle_reply(*reply, owner);
   if (!failed()) remember_reply(current_reply_fp_);
 }
 
@@ -231,7 +238,8 @@ bool Client::reply_seen(std::uint64_t fp) const {
   return false;
 }
 
-void Client::handle_reply(const ReplyMessageView& m) {
+void Client::handle_reply(const ReplyMessageView& m,
+                          const std::shared_ptr<const Bytes>* owner) {
   if (stale_reply(m.last.version)) return;
   if (!pending_.has_value()) {
     // A correct server replies exactly once per SUBMIT.
@@ -246,8 +254,14 @@ void Client::handle_reply(const ReplyMessageView& m) {
     return;
   }
 
-  if (!update_version(m)) return;                      // lines 17 / 29
-  if (is_read && !check_data(m, pending_->target)) return;  // line 30
+  if (!update_version(m)) return;  // lines 17 / 29
+  if (is_read) {                   // line 30
+    SharedValue value;
+    if (const ValueView& wire = m.read->value; wire.has_value()) {
+      value = owner != nullptr ? SharedBytes::slice(*owner, *wire) : SharedBytes::copy_of(*wire);
+    }
+    if (!check_data(m, pending_->target, value)) return;
+  }
 
   complete_op();
 }
@@ -298,23 +312,17 @@ void Client::handle_reply_delta(const ReplyDeltaMessageView& m) {
   // server echoes the base digest it served against; anything other than
   // our memo's digest (evicted, rotated, or a lie) is unresolvable.
   const VerifiedData& memo = verified_data_[static_cast<std::size_t>(j - 1)];
-  bool resolved = false;
-  Bytes rebuilt;  // owns the spliced reconstruction while we verify it
-  ValueView candidate = std::nullopt;
+  SharedValue candidate;  // the memoized base itself, or its reconstruction
   if (!memo.sig.empty() && memo.value.has_value() && memo.digest == m.read.base_digest) {
     if (m.read.unchanged) {
-      candidate = BytesView(*memo.value);
-      resolved = true;
+      candidate = memo.value;
     } else {
-      auto applied = apply_delta(BytesView(*memo.value),
+      auto applied = apply_delta(memo.value->view(),
                                  std::span<const SpliceView>(m.read.splices), m.read.new_size);
-      if (applied.has_value()) {
-        rebuilt = std::move(*applied);
-        candidate = BytesView(rebuilt);
-        resolved = true;
-      }
+      if (applied.has_value()) candidate = SharedBytes::owned(std::move(*applied));
     }
   }
+  const bool resolved = candidate.has_value();
 
   // Lines 34–52 run verbatim on a full-reply view over the delta reply;
   // the reconstruction stands in for the wire value.
@@ -324,7 +332,7 @@ void Client::handle_reply_delta(const ReplyDeltaMessageView& m) {
   ReadPayloadView rp;
   rp.writer = m.read.writer;
   rp.tj = m.read.tj;
-  rp.value = candidate;
+  if (resolved) rp.value = candidate->view();
   rp.data_sig = m.read.data_sig;
   full.read = rp;
   full.L = m.L;
@@ -336,7 +344,7 @@ void Client::handle_reply_delta(const ReplyDeltaMessageView& m) {
     return;
   }
   delta_tolerant_ = true;
-  const bool data_ok = check_data(full, j);
+  const bool data_ok = check_data(full, j, candidate);
   delta_tolerant_ = false;
   if (!data_ok) {
     if (failed()) return;  // staleness/commit-sig violations already failed
@@ -391,11 +399,11 @@ bool Client::proof_sig_valid(ClientId k, const Digest& mk, BytesView sig) {
   return true;
 }
 
-bool Client::data_sig_valid(ClientId j, Timestamp tj, const ValueView& value, BytesView sig) {
+bool Client::data_sig_valid(ClientId j, Timestamp tj, const SharedValue& value, BytesView sig) {
   VerifiedData& memo = verified_data_[static_cast<std::size_t>(j - 1)];
   const bool value_matches =
       memo.value.has_value() == value.has_value() &&
-      (!value.has_value() || same_bytes(*memo.value, *value));
+      (!value.has_value() || same_bytes(memo.value->view(), value->view()));
   if (!memo.sig.empty() && memo.tj == tj && value_matches && same_bytes(memo.sig, sig)) {
     staged_digest_ = memo.digest;
     return true;
@@ -409,13 +417,14 @@ bool Client::data_sig_valid(ClientId j, Timestamp tj, const ValueView& value, By
     // cover, and the check below fails exactly as with a full rehash.
     crypto::ChunkedHasher& h = data_hashers_[static_cast<std::size_t>(j - 1)];
     if (h.initialized() && memo.value.has_value()) {
-      h.update_diff(BytesView(*memo.value), *value);
+      h.update_diff(memo.value->view(), value->view());
     } else {
-      h.reset(*value);
+      h.reset(value->view());
     }
     digest = h.root();
   } else {
-    digest = value_digest(digest_mode_, value);
+    digest = value_digest(digest_mode_, value.has_value() ? ValueView(value->view())
+                                                          : ValueView(std::nullopt));
   }
   if (!sigs_->verify(j, data_payload(tj, digest), sig)) {
     // The hasher now mirrors the REJECTED bytes while memo.value still
@@ -424,7 +433,7 @@ bool Client::data_sig_valid(ClientId j, Timestamp tj, const ValueView& value, By
     if (digest_mode_ == DigestMode::kChunked && value.has_value()) {
       crypto::ChunkedHasher& h = data_hashers_[static_cast<std::size_t>(j - 1)];
       if (memo.value.has_value()) {
-        h.reset(BytesView(*memo.value));
+        h.reset(memo.value->view());
       } else {
         h = crypto::ChunkedHasher{};
       }
@@ -432,10 +441,9 @@ bool Client::data_sig_valid(ClientId j, Timestamp tj, const ValueView& value, By
     return false;
   }
   memo.tj = tj;
-  // Skip the O(K) copy when the bytes already match — which is also the
-  // case where `value` may alias memo.value itself (an "unchanged" delta
-  // reply verifies the memoized bytes in place).
-  if (!value_matches) memo.value = to_owned(value);
+  // Keep the buffer already held when the bytes match (an "unchanged"
+  // delta reply verifies the memoized buffer itself); else share `value`.
+  if (!value_matches) memo.value = value;
   memo.sig.assign(sig.begin(), sig.end());
   memo.digest = digest;
   staged_digest_ = digest;
@@ -512,7 +520,7 @@ bool Client::update_version(const ReplyMessageView& m) {
   return true;
 }
 
-bool Client::check_data(const ReplyMessageView& m, ClientId j) {
+bool Client::check_data(const ReplyMessageView& m, ClientId j, const SharedValue& value) {
   const ReadPayloadView& rp = *m.read;
   const Version& vj = rp.writer.version;
 
@@ -532,7 +540,7 @@ bool Client::check_data(const ReplyMessageView& m, ClientId j) {
   // failed binding condemns the delta, not the server: return false so the
   // caller retries in full — that retry either verifies or yields primary
   // evidence that fails the client for real.
-  if (rp.tj != 0 && !data_sig_valid(j, rp.tj, rp.value, rp.data_sig)) {
+  if (rp.tj != 0 && !data_sig_valid(j, rp.tj, value, rp.data_sig)) {
     if (!delta_tolerant_) fail(FailCause::kBadDataSignature);
     return false;
   }
@@ -559,7 +567,9 @@ bool Client::check_data(const ReplyMessageView& m, ClientId j) {
     return false;
   }
 
-  last_read_value_ = to_owned(rp.value);
+  // The buffer the memo now holds carries these bytes (data_sig_valid
+  // kept or took it): hand that one up, so one buffer serves both.
+  last_read_value_ = rp.tj != 0 ? verified_data_[static_cast<std::size_t>(j - 1)].value : value;
   last_read_writer_version_ = rp.writer.to_owned();
   last_read_writer_ts_ = rp.tj;
   last_read_digest_ = staged_digest_;

@@ -15,7 +15,10 @@
 // Hot-path engineering (PERF.md): replies are decoded zero-copy
 // (decode_reply_view) and verified through two memo layers — exact-match
 // memos for the recurring COMMIT/PROOF entries, and a VerifyCache for
-// everything else.  Neither weakens any check: a memo hit requires
+// everything else. A verified register value is held once, as a shared
+// buffer: a slice of the delivered REPLY (on_shared_message), the
+// reconstruction of a delta, or the memoized base itself; the memo, the
+// ReadResult and every layer above share it.  Neither weakens any check: a memo hit requires
 // byte-exact equality with a previously *verified* input, so forged or
 // tampered data always goes through (and fails) full verification.
 #pragma once
@@ -71,7 +74,7 @@ struct WriteResult {
 /// and the register owner's largest committed version (V_j, M_j).
 struct ReadResult {
   Timestamp t = 0;
-  Value value;
+  SharedValue value;  // the verified buffer itself (shared, not copied)
   SignedVersion own;
   ClientId writer = 0;  // register owner C_j
   SignedVersion writer_version;
@@ -215,8 +218,10 @@ class Client : public net::Node {
   /// checks through (diagnostics: hit/miss counts).
   const crypto::VerifyCache& verify_cache() const { return *sigs_; }
 
-  // net::Node: handles REPLY messages.
+  // net::Node: handles REPLY messages. A shared delivery lets a read's
+  // value stay a slice of the message; a view delivery copies it once.
   void on_message(NodeId from, BytesView msg) override;
+  void on_shared_message(NodeId from, const std::shared_ptr<const Bytes>& msg) override;
 
  private:
   struct PendingOp {
@@ -244,7 +249,12 @@ class Client : public net::Node {
   bool reply_seen(std::uint64_t fp) const;
   void remember_reply(std::uint64_t fp);
 
-  void handle_reply(const ReplyMessageView& m);
+  /// Both deliveries: `owner` is the message buffer when it arrived
+  /// shared (a read's value is then kept as a slice of it), else null (the
+  /// value is copied once).
+  void receive(NodeId from, BytesView msg, const std::shared_ptr<const Bytes>* owner);
+
+  void handle_reply(const ReplyMessageView& m, const std::shared_ptr<const Bytes>* owner);
 
   /// REPLY_DELTA path (D6): resolves the candidate value against the
   /// memoized base, then runs the verbatim checks of lines 34–52 on the
@@ -270,7 +280,9 @@ class Client : public net::Node {
   bool update_version(const ReplyMessageView& m);
 
   /// Lines 48–52. Returns false (after emitting fail) on any violation.
-  bool check_data(const ReplyMessageView& m, ClientId j);
+  /// `value` holds the bytes m.read->value views (shared, so a verified
+  /// value is kept without a copy).
+  bool check_data(const ReplyMessageView& m, ClientId j, const SharedValue& value);
 
   /// Signs and sends the COMMIT message for the current version and
   /// refreshes commit_sig_ / proof material.
@@ -292,7 +304,7 @@ class Client : public net::Node {
   /// are rehashed (a memcmp scan finds them). A forged value therefore
   /// still produces ITS OWN root — never the memoized one — and fails the
   /// signature check exactly like the flat mode.
-  bool data_sig_valid(ClientId j, Timestamp tj, const ValueView& value, BytesView sig);
+  bool data_sig_valid(ClientId j, Timestamp tj, const SharedValue& value, BytesView sig);
 
   /// Shared writex body: `x_view` aliases either the owned value or the
   /// shared buffer; exactly one wire copy is made.
@@ -350,7 +362,7 @@ class Client : public net::Node {
   std::uint64_t delta_fallbacks_ = 0;
 
   // Read-reply fields staged by check_data() for the completion callback.
-  Value last_read_value_;
+  SharedValue last_read_value_;
   SignedVersion last_read_writer_version_;
   Timestamp last_read_writer_ts_ = 0;
   crypto::Hash last_read_digest_{};
@@ -363,7 +375,7 @@ class Client : public net::Node {
   std::vector<std::pair<Digest, Bytes>> verified_proof_;  // [k-1]: (M[k], ψ_k)
   struct VerifiedData {
     Timestamp tj = 0;
-    Value value;
+    SharedValue value;
     Bytes sig;
     crypto::Hash digest{};  // x̄ the signature was verified against
   };

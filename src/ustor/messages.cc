@@ -213,20 +213,68 @@ std::size_t splices_size(const std::vector<S>& ss) {
 // produced them. Every bound is checked against the evolving buffer, so a
 // Byzantine splice list can never read or write out of range — it just
 // yields nullopt and the receiver falls back to the full-value path.
+//
+// The chain is composed as a piece list over the base and the insert
+// bytes (a splice splits at most two pieces and adds one) and the result
+// is copied once, after the final size check — not an erase plus an
+// insert, two tail moves, per splice. A list longer than any honest
+// chain's (kMaxPieces) is flattened into a scratch buffer and composing
+// goes on over that, which bounds the piece scans a forged list can cause.
 template <typename S>
 std::optional<Bytes> apply_delta_impl(BytesView base, std::span<const S> splices,
                                       std::uint64_t expected_size) {
-  Bytes buf(base.begin(), base.end());
+  struct Piece {
+    const std::uint8_t* data;
+    std::size_t len;  // never 0
+  };
+  constexpr std::size_t kMaxPieces = 1024;
+  std::vector<Piece> pieces;
+  if (!base.empty()) pieces.push_back(Piece{base.data(), base.size()});
+  std::size_t total = base.size();
+  // Splits the piece holding `offset` (<= total) so that a piece starts
+  // there; returns that piece's index (pieces.size() at the end).
+  const auto split_at = [&pieces](std::size_t offset) {
+    std::size_t pos = 0;
+    for (std::size_t q = 0; q < pieces.size(); ++q) {
+      if (pos == offset) return q;
+      const Piece p = pieces[q];
+      if (offset < pos + p.len) {
+        const std::size_t head = offset - pos;
+        pieces[q].len = head;
+        pieces.insert(pieces.begin() + static_cast<std::ptrdiff_t>(q + 1),
+                      Piece{p.data + head, p.len - head});
+        return q + 1;
+      }
+      pos += p.len;
+    }
+    return pieces.size();
+  };
+  const auto concat = [&pieces](std::size_t size) {
+    Bytes out;
+    out.reserve(size);
+    for (const Piece& p : pieces) out.insert(out.end(), p.data, p.data + p.len);
+    return out;
+  };
+  Bytes scratch;
   for (const S& s : splices) {
-    if (s.offset > buf.size()) return std::nullopt;
-    if (s.erase_len > buf.size() - s.offset) return std::nullopt;
-    const auto at = buf.begin() + static_cast<std::ptrdiff_t>(s.offset);
-    buf.erase(at, at + static_cast<std::ptrdiff_t>(s.erase_len));
-    buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(s.offset), s.insert.begin(),
-               s.insert.end());
+    if (s.offset > total) return std::nullopt;
+    if (s.erase_len > total - s.offset) return std::nullopt;
+    const std::size_t first = split_at(static_cast<std::size_t>(s.offset));
+    const std::size_t last = split_at(static_cast<std::size_t>(s.offset + s.erase_len));
+    pieces.erase(pieces.begin() + static_cast<std::ptrdiff_t>(first),
+                 pieces.begin() + static_cast<std::ptrdiff_t>(last));
+    if (!s.insert.empty()) {
+      pieces.insert(pieces.begin() + static_cast<std::ptrdiff_t>(first),
+                    Piece{s.insert.data(), s.insert.size()});
+    }
+    total = total - static_cast<std::size_t>(s.erase_len) + s.insert.size();
+    if (pieces.size() > kMaxPieces) {
+      scratch = concat(total);  // the old scratch goes only after the copy
+      pieces.assign(1, Piece{scratch.data(), scratch.size()});
+    }
   }
-  if (buf.size() != expected_size) return std::nullopt;
-  return buf;
+  if (total != expected_size) return std::nullopt;
+  return concat(total);
 }
 
 /// The read part of a REPLY, flattened to views so that ReplyMessage

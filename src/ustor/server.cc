@@ -145,6 +145,12 @@ std::optional<ReplySnapshot> ServerCore::process_submit_delta(
   rec.wire_bytes = DeltaRecord::wire_size(rec.splices);
   history.push_back(std::move(rec));
   while (history.size() > kDeltaHistoryDepth) history.pop_front();
+  std::size_t chain_bytes = 0;
+  for (const DeltaRecord& r : history) chain_bytes += r.wire_bytes;
+  while (!history.empty() && chain_bytes >= m.new_size) {
+    chain_bytes -= history.front().wire_bytes;
+    history.pop_front();
+  }
 
   InvocationTuple inv{m.inv.client, m.inv.oc, m.inv.target,
                       Bytes(m.inv.submit_sig.begin(), m.inv.submit_sig.end())};

@@ -145,8 +145,12 @@ class ServerCore {
   };
 
   /// How many delta records to retain per register; a reader whose base is
-  /// older than the window falls back to the full value.
-  static constexpr std::size_t kDeltaHistoryDepth = 8;
+  /// older than the window falls back to the full value. The window is
+  /// also cut by bytes: the oldest records go once the chain's splice
+  /// bytes reach the value size, past which plan_read_delta serves the
+  /// full value anyway — so the history never holds more than one value's
+  /// worth of splices.
+  static constexpr std::size_t kDeltaHistoryDepth = 64;
 
   struct MemEntry {
     Timestamp t = 0;

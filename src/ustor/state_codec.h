@@ -5,10 +5,12 @@
 // signature per register), the last-committer pointer c, SVER, the
 // concurrent-operations list L, the proof vector P, and the schedule log
 // (the recovery oracle the tests compare). It also carries each
-// register's D6 delta bookkeeping (chunk-tree digest and the depth-8
-// splice history): advertised-base reads are answered from that history,
-// so without it the replies recovery recomputes for the log suffix would
-// differ from the ones sent live, and a duplicate SUBMIT after a restart
+// register's D6 delta bookkeeping (chunk-tree digest and the splice
+// history, up to ServerCore::kDeltaHistoryDepth records; an image from
+// before the window grew from 8 records restores as is): advertised-base
+// reads are answered from that history, so without it the replies
+// recovery recomputes for the log suffix would differ from the ones sent
+// live, and a duplicate SUBMIT after a restart
 // would be echoed with bytes its client never saw (which D10's reply
 // fingerprint check would take for fork evidence). An image in the
 // earlier format, which lacks that bookkeeping, still restores, with

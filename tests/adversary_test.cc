@@ -72,7 +72,7 @@ struct ForkFixture : ::testing::Test {
     while (!done && !c(i).failed() && sched.step()) {
     }
     EXPECT_TRUE(done);
-    rec.end(id, sched.now(), out.t, out.value);
+    rec.end(id, sched.now(), out.t, ustor::to_owned(out.value));
     sched.run();
     return out;
   }
@@ -108,7 +108,7 @@ TEST_F(ForkFixture, Figure3Scenario) {
   server.leak_submit(server.fork_of(2), *server.last_submit(1));
   const auto r2 = read(2, 1);
   ASSERT_TRUE(r2.value.has_value());
-  EXPECT_EQ(to_string(*r2.value), "u") << "second read must return u";
+  EXPECT_EQ(to_string(r2.value->view()), "u") << "second read must return u";
 
   // USTOR alone cannot see anything wrong — that is the forking game.
   EXPECT_FALSE(c(1).failed());
@@ -144,9 +144,9 @@ TEST_F(ForkFixture, SplitWorldForkIsInvisibleToUstor) {
   const auto r2 = read(2, 1);
   const auto r4 = read(4, 3);
   ASSERT_TRUE(r2.value.has_value());
-  EXPECT_EQ(to_string(*r2.value), "a1");
+  EXPECT_EQ(to_string(r2.value->view()), "a1");
   ASSERT_TRUE(r4.value.has_value());
-  EXPECT_EQ(to_string(*r4.value), "b1");
+  EXPECT_EQ(to_string(r4.value->view()), "b1");
 
   // Cross-fork blindness: C2 sees nothing of C3.
   EXPECT_FALSE(read(2, 3).value.has_value());
@@ -178,13 +178,13 @@ TEST_F(ForkFixture, MidExecutionSplitServesStaleWorldForever) {
 
   const auto r = read(2, 1);
   ASSERT_TRUE(r.value.has_value());
-  EXPECT_EQ(to_string(*r.value), "v1") << "victim sees the stale snapshot";
+  EXPECT_EQ(to_string(r.value->view()), "v1") << "victim sees the stale snapshot";
   EXPECT_FALSE(c(2).failed()) << "a consistent replay fork is invisible to USTOR";
 
   // Victim's own writes still work inside its fork.
   write(2, "mine");
   const auto r2 = read(2, 2);
-  EXPECT_EQ(to_string(*r2.value), "mine");
+  EXPECT_EQ(to_string(r2.value->view()), "mine");
 
   EXPECT_FALSE(ustor::versions_comparable(c(1).version(), c(2).version()));
 }

@@ -79,7 +79,7 @@ TEST(CacheWire, FillRoundTrip) {
   fills[0].writer_ts = 9;
   fills[0].digest = test_hash(0x33);
   fills[0].sig = Bytes{4, 5};
-  fills[0].value = Bytes{1, 1, 2, 3, 5};
+  fills[0].value = SharedBytes::owned(Bytes{1, 1, 2, 3, 5});
   fills[0].as_of = 9;
   fills[1].writer = 3;
   fills[1].present = false;
@@ -478,10 +478,10 @@ TEST(CacheDifferential, TuningAndCacheAreInvisibleInTheMergedView) {
     return rig.list(1, /*bypass=*/true);
   };
 
-  const auto base = run(false, kv::KvTuning{false, false});
-  EXPECT_EQ(run(false, kv::KvTuning{true, true}), base);
-  EXPECT_EQ(run(true, kv::KvTuning{false, false}), base);
-  EXPECT_EQ(run(true, kv::KvTuning{true, true}), base);
+  const auto base = run(false, kv::KvTuning{false});
+  EXPECT_EQ(run(false, kv::KvTuning{true}), base);
+  EXPECT_EQ(run(true, kv::KvTuning{false}), base);
+  EXPECT_EQ(run(true, kv::KvTuning{true}), base);
   ASSERT_FALSE(base.empty());
   ASSERT_TRUE(base.count("beta"));
   EXPECT_EQ(base.at("beta").value, "final");

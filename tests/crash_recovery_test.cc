@@ -94,7 +94,7 @@ TEST(CrashRecovery, DuplicateSubmitServedFromReplyCache) {
   done = false;
   ustor::Value v;
   c2.readx(1, [&](const ustor::ReadResult& r) {
-    v = r.value;
+    v = ustor::to_owned(r.value);
     done = true;
   });
   while (!done && sched.step()) {
@@ -365,7 +365,7 @@ TEST(CrashRecovery, TamperedSnapshotRejectedFallsBackToLogReplay) {
   bool done = false;
   ustor::Value v;
   c2.readx(1, [&](const ustor::ReadResult& r) {
-    v = r.value;
+    v = ustor::to_owned(r.value);
     done = true;
   });
   while (!done && sched.step()) {

@@ -40,6 +40,12 @@ struct Rig {
 
   KvClient& client(ClientId i) { return *kv[static_cast<std::size_t>(i - 1)]; }
 
+  /// REPLY_DELTA answers (spliced or unchanged) client i's engine accepted.
+  std::uint64_t engine_delta_replies(ClientId i) {
+    const ustor::Client& e = cluster->client(i).engine();
+    return e.delta_replies_spliced() + e.delta_replies_unchanged();
+  }
+
   void drive(const bool& done) {
     std::size_t steps = 0;
     while (!done && steps < 2'000'000 && cluster->sched().step()) ++steps;
@@ -86,8 +92,8 @@ struct Rig {
   std::vector<std::unique_ptr<KvClient>> kv;
 };
 
-constexpr KvTuning kDelta{true, true};
-constexpr KvTuning kLegacy{false, false};
+constexpr KvTuning kDelta{true};
+constexpr KvTuning kLegacy{false};
 
 // --- Incremental encoding --------------------------------------------------
 
@@ -199,13 +205,57 @@ TEST(DecodeMemo, WriteInvalidatesExactlyTheChangedPartition) {
   EXPECT_EQ(rig.client(1).decode_memo_misses(), misses_before + 1u)
       << "only the rewritten partition re-decodes";
 
-  // And the view agrees with a memo-less engine replaying the same state.
+  // And the view agrees with a full-reencode, flat-digest engine
+  // replaying the same state.
   Rig oracle(32, kLegacy, ustor::DigestMode::kFlat);
   oracle.put(1, "a", "1");
   oracle.put(2, "b", "2");
   oracle.put(3, "c", "3");
   oracle.put(3, "c", "3-new");
   EXPECT_EQ(rig.list(1), oracle.list(1));
+}
+
+TEST(DecodeMemo, KeptViewOutlivesTheMemoSlotMovingOn) {
+  // A MergedView copied out of a snapshot pins the partition views it
+  // observed, and through them the verified buffers they index: a slice
+  // of the delivered REPLY for the first read, a delta reconstruction
+  // after that. Later snapshots replace the memo slot (and the USTOR
+  // client's verified value) again and again; the kept view must read the
+  // same entries throughout. Under ASan a view that did not pin its bytes
+  // reads freed memory here.
+  Rig rig(33, kDelta, ustor::DigestMode::kChunked);
+  rig.put(1, "k", "v0");
+  rig.put(1, "pad", std::string(300, 'p'));
+  const auto snapshot = [&rig] {
+    bool done = false;
+    std::optional<MergedView> out;
+    rig.client(2).snapshot(/*bypass_cache=*/true,
+                           [&](const MergedView& view, Timestamp, const ReadOrigin&) {
+                             out = view;
+                             done = true;
+                           });
+    rig.drive(done);
+    EXPECT_TRUE(done);
+    return out;
+  };
+  std::vector<MergedView> kept;
+  std::vector<MergedView::Map> lists;
+  for (int round = 0; round < 6; ++round) {
+    std::optional<MergedView> view = snapshot();
+    ASSERT_TRUE(view.has_value());
+    lists.push_back(MergedView(*view).all());  // all() on a copy: `kept` builds its own
+    kept.push_back(std::move(*view));
+    rig.put(1, "k", "v" + std::to_string(round + 1));
+    rig.put(1, "k" + std::to_string(round), std::string(40, 'x'));
+  }
+  EXPECT_GE(rig.client(2).decode_memo_misses(), 6u) << "every round re-decoded slot 1";
+  EXPECT_GT(rig.engine_delta_replies(2), 0u) << "later rounds read through REPLY_DELTA";
+  for (std::size_t r = 0; r < kept.size(); ++r) {
+    const std::optional<KvEntry> k = kept[r].find("k");
+    ASSERT_TRUE(k.has_value());
+    EXPECT_EQ(k->value, "v" + std::to_string(r));
+    EXPECT_EQ(kept[r].all(), lists[r]) << "round " << r;
+  }
 }
 
 TEST(DecodeMemo, ViewsAndStabilityCutsIdenticalAcrossTunings) {

@@ -170,14 +170,16 @@ TEST(KvCodec, MapRoundtripAndMalformedRejected) {
 
 TEST(MergedView, FindAgreesWithAllOnRandomPartitions) {
   // Point lookups never merge: find() runs one binary search per
-  // partition. Over random partitions — ⊥ slots, undecodable (empty)
+  // partition view. Over random partitions — ⊥ slots, undecodable (empty)
   // ones, and seq ties across writers — it must name exactly the entry
-  // the full merge picks, and nothing for a key no partition holds.
+  // the full merge picks, and nothing for a key no partition holds. The
+  // reference scans the owning partitions the views were decoded from.
   Rng rng(2024);
   for (int trial = 0; trial < 300; ++trial) {
     const std::size_t n = 1 + rng.next_below(5);
-    std::vector<std::shared_ptr<const Partition>> parts(n);
-    for (auto& slot : parts) {
+    std::vector<std::shared_ptr<const Partition>> owned(n);
+    std::vector<std::shared_ptr<const PartitionView>> parts(n);
+    for (std::size_t s = 0; s < n; ++s) {
       const std::uint64_t kind = rng.next_below(6);
       if (kind == 0) continue;  // ⊥
       Partition p;
@@ -191,7 +193,11 @@ TEST(MergedView, FindAgreesWithAllOnRandomPartitions) {
                                      1 + rng.next_below(3)});
         }
       }
-      slot = std::make_shared<const Partition>(std::move(p));
+      auto view = decode_partition(encode_partition(p));
+      ASSERT_TRUE(view.has_value());
+      ASSERT_EQ(view->size(), p.size());
+      parts[s] = std::make_shared<const PartitionView>(std::move(*view));
+      owned[s] = std::make_shared<const Partition>(std::move(p));
     }
     const MergedView view(parts);
     std::vector<std::string> probes = {"", "k", "k09", "k34", "zz"};
@@ -200,8 +206,8 @@ TEST(MergedView, FindAgreesWithAllOnRandomPartitions) {
       // Reference: the largest (seq, writer) over the partitions holding key.
       std::optional<KvEntry> want;
       for (std::size_t slot = 0; slot < n; ++slot) {
-        if (!parts[slot]) continue;
-        for (const PartitionEntry& e : *parts[slot]) {
+        if (!owned[slot]) continue;
+        for (const PartitionEntry& e : *owned[slot]) {
           const ClientId j = static_cast<ClientId>(slot + 1);
           if (e.key == key && (!want || e.seq > want->seq || (e.seq == want->seq && j > want->writer))) {
             want = KvEntry{e.value, j, e.seq};
@@ -222,6 +228,35 @@ TEST(MergedView, FindAgreesWithAllOnRandomPartitions) {
     const MergedView seeded(parts, view.built());
     EXPECT_EQ(&seeded.all(), view.built().get());
   }
+}
+
+TEST(PartitionView, IndexesThePinnedBytesWithoutCopying) {
+  Partition p;
+  p.push_back(PartitionEntry{"", "empty key", 1});
+  p.push_back(PartitionEntry{"alpha", "", 2});
+  p.push_back(PartitionEntry{"beta", std::string(100, 'b'), 3});
+  auto buffer = std::make_shared<const Bytes>(encode_partition(p));
+  const char* const begin = reinterpret_cast<const char*>(buffer->data());
+  const char* const end = begin + buffer->size();
+  auto view = decode_partition(SharedBytes::slice(buffer, BytesView(*buffer)));
+  buffer.reset();  // the view is now the only owner
+  ASSERT_TRUE(view.has_value());
+  ASSERT_EQ(view->size(), 3u);
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const PartitionView::EntryRef e = (*view)[i];
+    EXPECT_EQ(e.key, p[i].key);
+    EXPECT_EQ(e.value, p[i].value);
+    EXPECT_EQ(e.seq, p[i].seq);
+    EXPECT_EQ(view->find(p[i].key), i);
+    // Keys and values are views into the pinned buffer, not copies.
+    EXPECT_TRUE(e.key.data() >= begin && e.key.data() + e.key.size() <= end);
+    EXPECT_TRUE(e.value.data() >= begin && e.value.data() + e.value.size() <= end);
+  }
+  EXPECT_EQ(view->find("alp"), view->size());
+  EXPECT_EQ(view->find("gamma"), view->size());
+  const PartitionView copy = *view;  // a copy shares the bytes
+  view.reset();
+  EXPECT_EQ(copy[2].value, std::string(100, 'b'));
 }
 
 TEST(KvUnderAttack, ForkDetectionFlowsThroughTheStoreFacade) {

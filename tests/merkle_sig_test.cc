@@ -128,7 +128,7 @@ TEST(MerkleSig, UstorRunsUnchangedOverMss) {
   ustor::Value got;
   ASSERT_TRUE(drive([&](bool& done) {
     c2.readx(1, [&](const ustor::ReadResult& r) {
-      got = r.value;
+      got = ustor::to_owned(r.value);
       done = true;
     });
   }));

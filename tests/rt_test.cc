@@ -249,7 +249,7 @@ struct ThreadedClientDriver {
       client->readx(j, [this, rec](const ustor::ReadResult& r) {
         {
           std::lock_guard lock(*recorder_mu);
-          recorder->end(rec, now_ns(), r.t, r.value);
+          recorder->end(rec, now_ns(), r.t, ustor::to_owned(r.value));
         }
         next();
       });
@@ -328,7 +328,7 @@ TEST(ThreadedUstor, ValuesFlowAcrossThreads) {
   }
   c2.readx(1, [&](const ustor::ReadResult& r) {
     std::lock_guard lock(mu);
-    read_value = r.value;
+    read_value = ustor::to_owned(r.value);
     read_done = true;
     cv.notify_all();
   });

@@ -269,7 +269,7 @@ void run_differential_workload(std::size_t shards, std::uint64_t seed, kv::KvTun
                                ustor::DigestMode digest = ustor::DigestMode::kChunked) {
   SCOPED_TRACE(::testing::Message() << "S=" << shards << " seed=" << seed
                                     << " incremental=" << tuning.incremental_encode
-                                    << " memo=" << tuning.decode_memo
+                                   
                                     << " chunked=" << (digest == ustor::DigestMode::kChunked));
   constexpr int kOps = 48;
   constexpr int kCheckEvery = 12;
@@ -335,7 +335,7 @@ TEST(ShardDifferential, LegacyFullReencodePathAgreesToo) {
   // decode memos AND chunked digests all forced OFF, the same workloads
   // must still agree with the oracle and the model — the knob selects a
   // cost model, never semantics.
-  const kv::KvTuning legacy{/*incremental_encode=*/false, /*decode_memo=*/false};
+  const kv::KvTuning legacy{/*incremental_encode=*/false};
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
     run_differential_workload(shards, 101, legacy, ustor::DigestMode::kFlat);
     if (::testing::Test::HasFatalFailure()) return;
@@ -348,7 +348,7 @@ TEST(ShardDifferential, DeltaAndLegacyModesProduceIdenticalViewsAndStability) {
   // must match key-for-key and every shard's stability cut must advance
   // identically (the knobs change neither message counts nor sizes, so
   // even the virtual-time schedules coincide).
-  const kv::KvTuning legacy{false, false};
+  const kv::KvTuning legacy{false};
   ShardedRig delta(2, 505);
   ShardedRig forced(2, 505, legacy, ustor::DigestMode::kFlat);
   Rng rng(606);

@@ -361,7 +361,7 @@ TEST(PersistentServerTest, CrashRecoveryIsInvisibleToClients) {
     bool done = false;
     ustor::Value out;
     clients[static_cast<std::size_t>(i - 1)]->readx(j, [&](const ustor::ReadResult& r) {
-      out = r.value;
+      out = ustor::to_owned(r.value);
       done = true;
     });
     while (!done && sched.step()) {
@@ -421,7 +421,7 @@ TEST(PersistentServerTest, DoubleCrashStillConsistent) {
   bool done = false;
   ustor::Value v;
   c2.readx(1, [&](const ustor::ReadResult& r) {
-    v = r.value;
+    v = ustor::to_owned(r.value);
     done = true;
   });
   while (!done && sched.step()) {
@@ -482,7 +482,7 @@ TEST(PersistentServerTest, CommitFromOutsideTheClientRangeIsIgnoredAndRestartsCl
   done = false;
   ustor::Value v;
   c2.readx(1, [&](const ustor::ReadResult& r) {
-    v = r.value;
+    v = ustor::to_owned(r.value);
     done = true;
   });
   while (!done && sched.step()) {
@@ -594,7 +594,7 @@ TEST(PersistentServerTest, VersionOneSnapshotStillRestores) {
     bool done = false;
     ustor::Value got;
     c2.readx(1, [&](const ustor::ReadResult& r) {
-      got = r.value;
+      got = ustor::to_owned(r.value);
       done = true;
     });
     settle(done);
@@ -649,6 +649,101 @@ TEST(PersistentServerTest, VersionOneSnapshotStillRestores) {
   EXPECT_FALSE(c2.failed());
 }
 
+TEST(PersistentServerTest, SnapshotFromTheDepthEightWindowStillRestores) {
+  // The delta history used to keep 8 records per register. A snapshot
+  // written then holds at most 8; it must restore as is, serve the bases
+  // it covers as splices and the older ones in full, and grow past 8
+  // records on later writes.
+  constexpr int kN = 3;
+  constexpr std::size_t kOldDepth = 8;
+  TempDirFixture dir("depth8_snapshot");
+  sim::Scheduler sched;
+  net::Network net(sched, Rng(16), net::DelayModel{1, 2});
+  auto sigs = crypto::make_hmac_scheme(kN);
+  std::vector<std::unique_ptr<ustor::Client>> c;
+  for (ClientId i = 1; i <= kN; ++i) {
+    c.push_back(std::make_unique<ustor::Client>(i, kN, sigs, net, kServerNode, 4096,
+                                                ustor::DigestMode::kChunked,
+                                                /*wire_deltas=*/true));
+  }
+  auto server = std::make_unique<PersistentServer>(kN, net, dir.path, DurabilityOptions{});
+  const auto settle = [&](const bool& done) {
+    while (!done && sched.step()) {
+    }
+    EXPECT_TRUE(done);
+    sched.run();
+  };
+  Bytes value(3000, 7);
+  const auto delta_write = [&](std::size_t off, std::uint8_t b) {
+    const crypto::Hash base = crypto::ChunkedHasher::digest(value);
+    value[off] = b;
+    std::vector<ustor::Splice> splices{ustor::Splice{off, 1, Bytes(1, b)}};
+    bool done = false;
+    c[0]->writex_delta(base, crypto::ChunkedHasher::digest(value), value.size(),
+                       std::move(splices), [&](const ustor::WriteResult&) { done = true; });
+    settle(done);
+  };
+  const auto read = [&](ClientId reader) {
+    bool done = false;
+    ustor::Value got;
+    c[static_cast<std::size_t>(reader - 1)]->readx(1, [&](const ustor::ReadResult& r) {
+      got = ustor::to_owned(r.value);
+      done = true;
+    });
+    settle(done);
+    return got;
+  };
+  bool done = false;
+  c[0]->writex(value, [&](const ustor::WriteResult&) { done = true; });
+  settle(done);
+  ASSERT_TRUE(read(2).has_value());  // client 2's base: 12 records old below
+  for (int w = 0; w < 4; ++w) delta_write(100 + static_cast<std::size_t>(w), 1);
+  ASSERT_TRUE(read(3).has_value());  // client 3's base: 8 records old below
+  for (int w = 0; w < 8; ++w) delta_write(900 + static_cast<std::size_t>(w), 2);
+  ASSERT_EQ(server->core().mem(1).history.size(), 12u);
+
+  // The image a depth-8 server held at this point: the same state with
+  // only the newest 8 records.
+  ASSERT_TRUE(server->force_snapshot());
+  ustor::ServerCore old_core(server->core());
+  auto& history = old_core.mem(1).history;
+  history.erase(history.begin(), history.end() - static_cast<std::ptrdiff_t>(kOldDepth));
+  const Bytes old_image = ustor::encode_server_state(old_core);
+  {
+    SnapshotStore store(dir.path + "/snapshot.bin");
+    auto img = store.load();
+    ASSERT_TRUE(img.has_value());
+    wire::Reader r(img->payload);
+    ASSERT_FALSE(wire::Reader::is_error(r.get_bytes_view()));
+    wire::Writer w;
+    w.put_bytes(old_image);
+    w.put_raw(r.get_raw(r.remaining()));
+    ASSERT_TRUE(store.save(img->log_records, w.buffer()));
+  }
+  net.detach(kServerNode);
+  server.reset();
+  std::filesystem::remove(dir.path + "/wal.log");  // only the snapshot is left
+
+  server = std::make_unique<PersistentServer>(kN, net, dir.path, DurabilityOptions{});
+  EXPECT_TRUE(server->recovered_from_snapshot());
+  EXPECT_EQ(ustor::encode_server_state(server->core()), old_image);
+  EXPECT_EQ(server->core().mem(1).history.size(), kOldDepth);
+
+  // A base the 8 records cover comes back as splices; an older one in full.
+  const std::uint64_t spliced3 = c[2]->delta_replies_spliced();
+  EXPECT_EQ(read(3), ustor::Value(value));
+  EXPECT_EQ(c[2]->delta_replies_spliced(), spliced3 + 1);
+  const std::uint64_t spliced2 = c[1]->delta_replies_spliced();
+  EXPECT_EQ(read(2), ustor::Value(value));
+  EXPECT_EQ(c[1]->delta_replies_spliced(), spliced2);
+  // New writes extend the restored chain past the old depth.
+  for (int w = 0; w < 4; ++w) delta_write(2000 + static_cast<std::size_t>(w), 3);
+  EXPECT_EQ(server->core().mem(1).history.size(), kOldDepth + 4);
+  EXPECT_EQ(read(3), ustor::Value(value));
+  EXPECT_EQ(c[2]->delta_replies_spliced(), spliced3 + 2);
+  for (const auto& client : c) EXPECT_FALSE(client->failed());
+}
+
 // --- One dispatch path: durable and in-memory servers answer the same -----
 
 /// Records a live run's server-bound traffic, in delivery order.
@@ -675,7 +770,7 @@ struct SendLog : net::Transport {
 
 /// A seeded message script over three chunked-digest, delta-speaking
 /// clients: writer 1 edits its value by SUBMIT_DELTA while clients 2 and 3
-/// read it with advertised bases that are current, inside the depth-8
+/// read it with advertised bases that are current, inside the delta
 /// history, or older than it; client 2 piggybacks its COMMITs. The script
 /// is then doctored: client 3's SUBMITs move ahead of the COMMIT they
 /// follow (the server must park them), half of client 2's standalone
@@ -732,8 +827,9 @@ std::vector<std::pair<NodeId, Bytes>> delta_script(std::uint64_t seed) {
   read(2, 1);
   read(3, 1);
   for (int round = 0; round < 6; ++round) {
-    // 1..3 edits (inside the history) or 10 (past it), then reads.
-    const int edits = round == 2 || round == 4 ? 10 : 1 + static_cast<int>(rng.next_u64() % 3);
+    // 1..3 edits (inside the history) or more than it holds, then reads.
+    constexpr int kPast = static_cast<int>(ustor::ServerCore::kDeltaHistoryDepth) + 2;
+    const int edits = round == 2 || round == 4 ? kPast : 1 + static_cast<int>(rng.next_u64() % 3);
     for (int e = 0; e < edits; ++e) delta_write();
     read(2, 1);
     read(3, 1);

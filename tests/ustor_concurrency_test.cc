@@ -95,7 +95,7 @@ TEST_F(ConcurrencyFixture, ProofSignaturePathWithCommittedPredecessor) {
   EXPECT_FALSE(c(2).failed()) << "PROOF verification must succeed";
   // C2's read was scheduled after C1's second write: it sees "second".
   ASSERT_TRUE(rr.value.has_value());
-  EXPECT_EQ(to_string(*rr.value), "second");
+  EXPECT_EQ(to_string(rr.value->view()), "second");
   EXPECT_EQ(rr.own.version.v(1), 2u);
 }
 
@@ -119,7 +119,7 @@ TEST_F(ConcurrencyFixture, ChainedConcurrencyAcrossFourClients) {
       if (next > kN) return;
       const ClientId j = next++;
       fix->c(reader).readx(j, [this, j](const ReadResult& r) {
-        (*got)[static_cast<std::size_t>((reader - 1) * kN + (j - 1))] = r.value;
+        (*got)[static_cast<std::size_t>((reader - 1) * kN + (j - 1))] = ustor::to_owned(r.value);
         ++*done;
         step();
       });
@@ -165,7 +165,7 @@ TEST_F(ConcurrencyFixture, ReadersRacingOneWriterSeeMonotoneValues) {
       fix->c(2).readx(1, [this](const ReadResult& r) {
         int seen = 0;
         if (r.value.has_value()) {
-          seen = std::stoi(to_string(*r.value).substr(1));
+          seen = std::stoi(to_string(r.value->view()).substr(1));
         }
         if (seen < last_seen) violation = true;  // new-old inversion
         last_seen = seen;

@@ -71,7 +71,7 @@ TEST_F(UstorFixture, ReadSeesPrecedingWrite) {
   write(1, "hello");
   const ReadResult r = read(2, 1);
   ASSERT_TRUE(r.value.has_value());
-  EXPECT_EQ(to_string(*r.value), "hello");
+  EXPECT_EQ(to_string(r.value->view()), "hello");
   EXPECT_EQ(r.writer, 1);
   EXPECT_EQ(r.writer_version.version.v(1), 1u);
 }
@@ -91,7 +91,7 @@ TEST_F(UstorFixture, SelfReadReturnsOwnValue) {
   write(1, "mine");
   const ReadResult r = read(1, 1);
   ASSERT_TRUE(r.value.has_value());
-  EXPECT_EQ(to_string(*r.value), "mine");
+  EXPECT_EQ(to_string(r.value->view()), "mine");
 }
 
 TEST_F(UstorFixture, OverwriteIsVisible) {
@@ -99,7 +99,7 @@ TEST_F(UstorFixture, OverwriteIsVisible) {
   write(1, "v2");
   const ReadResult r = read(2, 1);
   ASSERT_TRUE(r.value.has_value());
-  EXPECT_EQ(to_string(*r.value), "v2");
+  EXPECT_EQ(to_string(r.value->view()), "v2");
 }
 
 TEST_F(UstorFixture, TimestampsStrictlyIncreasePerClient) {
@@ -167,7 +167,7 @@ TEST_F(UstorFixture, ConcurrentSubmissionsBothComplete) {
   // C2's read was scheduled after C1's write; it must see the value even
   // though the write's COMMIT was still in flight (no blocking, no miss).
   ASSERT_TRUE(r2.value.has_value());
-  EXPECT_EQ(to_string(*r2.value), "w");
+  EXPECT_EQ(to_string(r2.value->view()), "w");
   EXPECT_EQ(r2.own.version.v(1), 1u);
   EXPECT_TRUE(versions_comparable(r1.own.version, r2.own.version));
 }
@@ -177,9 +177,9 @@ TEST_F(UstorFixture, ManyInterleavedOpsStayConsistent) {
     write(1, "x" + std::to_string(round));
     const ReadResult r2 = read(2, 1);
     ASSERT_TRUE(r2.value.has_value());
-    EXPECT_EQ(to_string(*r2.value), "x" + std::to_string(round));
+    EXPECT_EQ(to_string(r2.value->view()), "x" + std::to_string(round));
     const ReadResult r3 = read(3, 1);
-    EXPECT_EQ(to_string(*r3.value), "x" + std::to_string(round));
+    EXPECT_EQ(to_string(r3.value->view()), "x" + std::to_string(round));
   }
   EXPECT_FALSE(c(1).failed());
   EXPECT_FALSE(c(2).failed());
@@ -199,7 +199,7 @@ TEST_F(UstorFixture, WaitFreedomDespiteCrashedPeer) {
     EXPECT_FALSE(c(2).failed());
     // C1's submitted-but-uncommitted write is visible (scheduled first).
     ASSERT_TRUE(r.value.has_value());
-    EXPECT_EQ(to_string(*r.value), "doomed");
+    EXPECT_EQ(to_string(r.value->view()), "doomed");
   }
   write(3, "alive");
   EXPECT_FALSE(c(3).failed());

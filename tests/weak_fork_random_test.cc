@@ -70,7 +70,7 @@ TEST_P(RandomForkTest, AnyForkScheduleSatisfiesDefinition6) {
       ustor::Value v;
       c.readx(j, [&](const ustor::ReadResult& r) {
         t = r.t;
-        v = r.value;
+        v = ustor::to_owned(r.value);
         done = true;
       });
       while (!done && !c.failed() && sched.step()) {

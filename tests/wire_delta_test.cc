@@ -35,7 +35,7 @@
 namespace faust::kv {
 namespace {
 
-constexpr KvTuning kDelta{true, true};
+constexpr KvTuning kDelta{true};
 
 constexpr auto kSubmitTag = static_cast<std::uint8_t>(ustor::MsgType::kSubmit);
 constexpr auto kSubmitDeltaTag = static_cast<std::uint8_t>(ustor::MsgType::kSubmitDelta);
@@ -220,6 +220,89 @@ TEST(WireDelta, AllUnchangedSnapshotReadShipsO1BytesPerPartition) {
   EXPECT_EQ(large, small)
       << "per-reply \"unchanged\" bytes must not depend on the keyspace";
   EXPECT_LT(large, 1024u) << "the unchanged token must stay O(1)-sized";
+}
+
+// --- The delta window: how old a base may be ------------------------------
+
+/// Reply bytes client 2 received for one engine read of register 1 after
+/// writer 1 made `age` single-key puts on top of client 2's verified base,
+/// plus the register's size and how the read was answered.
+struct AgedRead {
+  std::uint64_t reply_bytes = 0;
+  std::uint64_t value_bytes = 0;
+  bool spliced = false;
+};
+
+AgedRead aged_read(std::uint64_t seed, int keys, std::size_t value_len, int age) {
+  Rig rig(seed);
+  rig.bulk_load(1, keys, value_len);
+  bool done = false;
+  rig.cluster->client(2).read_ex(1, [&](const ustor::SharedValue&, Timestamp, const ReadMeta&) {
+    done = true;
+  });
+  rig.drive(done);  // verifies and memoizes the base
+  EXPECT_TRUE(done);
+  for (int p = 0; p < age; ++p) {
+    // Same-size overwrites: one splice, one history record per put.
+    std::string value(value_len, 'x');
+    value[0] = static_cast<char>('a' + p % 26);
+    rig.put(1, "key-" + std::to_string((p * 7) % keys), value);
+  }
+  const net::Network& net = rig.cluster->net();
+  const auto reply_bytes = [&] {
+    return net.channel_for(kServerNode, 2, kReplyTag).bytes +
+           net.channel_for(kServerNode, 2, kReplyDeltaTag).bytes;
+  };
+  const std::uint64_t before = reply_bytes();
+  const std::uint64_t spliced_before = rig.engine(2).delta_replies_spliced();
+  AgedRead out;
+  done = false;
+  rig.cluster->client(2).read_ex(1, [&](const ustor::SharedValue& v, Timestamp, const ReadMeta&) {
+    out.value_bytes = v.has_value() ? v->size() : 0;
+    done = true;
+  });
+  rig.drive(done);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(rig.engine(2).delta_fallbacks(), 0u);
+  EXPECT_FALSE(rig.cluster->any_failed());
+  out.reply_bytes = reply_bytes() - before;
+  out.spliced = rig.engine(2).delta_replies_spliced() == spliced_before + 1;
+  return out;
+}
+
+TEST(WireDeltaWindow, BaseUpToTheHistoryDepthOldGetsSplices) {
+  // 9..64 records old: past the former depth-8 window, inside today's.
+  constexpr int kDepth = static_cast<int>(ustor::ServerCore::kDeltaHistoryDepth);
+  for (const int age : {9, 16, 40, kDepth}) {
+    const AgedRead r = aged_read(301, 512, 24, age);
+    EXPECT_TRUE(r.spliced) << "age " << age;
+    EXPECT_LT(r.reply_bytes * 4, r.value_bytes)
+        << "age " << age << ": " << r.reply_bytes << " reply bytes for a " << r.value_bytes
+        << "-byte value";
+  }
+  // One record past the window: the base is gone, the value ships whole.
+  const AgedRead past = aged_read(301, 512, 24, kDepth + 1);
+  EXPECT_FALSE(past.spliced);
+  EXPECT_GT(past.reply_bytes, past.value_bytes);
+}
+
+TEST(WireDeltaWindow, ChainWhoseSplicesReachTheValueSizeGetsTheFullValue) {
+  // A 6-key partition (~300 B) and puts whose splices are ~70 B each: a
+  // few records already carry as many bytes as the value, so the server
+  // answers with the value and keeps no history past that point.
+  const AgedRead r = aged_read(302, 6, 24, 6);
+  EXPECT_FALSE(r.spliced);
+  EXPECT_GT(r.reply_bytes, r.value_bytes);
+
+  Rig rig(303);
+  rig.bulk_load(1, 6, 24);
+  for (int p = 0; p < 12; ++p) rig.put(1, "key-" + std::to_string(p % 6), std::string(24, 'y'));
+  const ustor::ServerCore::MemEntry& me = rig.cluster->server()->core().mem(1);
+  ASSERT_TRUE(me.value.has_value());
+  std::size_t chain_bytes = 0;
+  for (const ustor::ServerCore::DeltaRecord& rec : me.history) chain_bytes += rec.wire_bytes;
+  EXPECT_FALSE(me.history.empty());
+  EXPECT_LT(chain_bytes, me.value->size()) << "records past the value size are dropped";
 }
 
 // --- Fallback: evicted base mid-run ----------------------------------------

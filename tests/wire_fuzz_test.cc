@@ -299,6 +299,163 @@ TEST(WireFuzz, ApplyDeltaRejectsOutOfBoundsSplicesAndSizeLies) {
   }
 }
 
+/// The sequential splice application apply_delta composed away: an erase
+/// plus an insert per splice. Kept as the reference the composed form
+/// must agree with, rejections included.
+std::optional<Bytes> sequential_apply(BytesView base, const std::vector<Splice>& splices,
+                                      std::uint64_t expected_size) {
+  Bytes buf(base.begin(), base.end());
+  for (const Splice& s : splices) {
+    if (s.offset > buf.size()) return std::nullopt;
+    if (s.erase_len > buf.size() - s.offset) return std::nullopt;
+    const auto at = buf.begin() + static_cast<std::ptrdiff_t>(s.offset);
+    buf.erase(at, at + static_cast<std::ptrdiff_t>(s.erase_len));
+    buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(s.offset), s.insert.begin(),
+               s.insert.end());
+  }
+  if (buf.size() != expected_size) return std::nullopt;
+  return buf;
+}
+
+TEST(WireFuzz, ComposedApplyDeltaEqualsSequentialSplicing) {
+  // Random chains over random bases: mostly in-bounds splices (so long
+  // chains survive), some past the evolving end, and final sizes that are
+  // right, one short or one long. A few chains are long enough to cross
+  // the composer's flattening threshold. The composed result (or its
+  // rejection) must equal the sequential one, through both splice types.
+  Rng rng(515);
+  int accepted = 0, rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const Bytes base = random_bytes(rng, 96);
+    const std::size_t count = trial % 500 == 0 ? 1500 + rng.next_below(600) : rng.next_below(24);
+    std::vector<Splice> splices;
+    std::uint64_t len = base.size();
+    for (std::size_t q = 0; q < count; ++q) {
+      Splice s;
+      const bool wild = count < 100 && rng.next_below(40) == 0;  // long chains stay valid
+      s.offset = wild ? len + rng.next_below(3) : rng.next_below(len + 1);
+      const std::uint64_t room = s.offset <= len ? len - s.offset : 0;
+      s.erase_len = wild ? rng.next_below(room + 3)
+                         : rng.next_below(std::min<std::uint64_t>(room, 12) + 1);
+      s.insert = random_bytes(rng, 10);
+      if (s.offset <= len && s.erase_len <= len - s.offset) {
+        len = len - s.erase_len + s.insert.size();
+      }
+      splices.push_back(std::move(s));
+    }
+    const std::uint64_t expected = len + (rng.next_below(8) == 0 ? 1 : 0) -
+                                   (len > 0 && rng.next_below(8) == 0 ? 1 : 0);
+    const auto want = sequential_apply(base, splices, expected);
+    const auto got = apply_delta(BytesView(base), std::span<const Splice>(splices), expected);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "trial " << trial;
+    if (want.has_value()) {
+      ASSERT_EQ(*got, *want) << "trial " << trial;
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+    std::vector<SpliceView> views;
+    for (const Splice& s : splices) views.push_back(SpliceView{s.offset, s.erase_len, s.insert});
+    const auto via_views =
+        apply_delta(BytesView(base), std::span<const SpliceView>(views), expected);
+    ASSERT_EQ(via_views, got) << "trial " << trial;
+  }
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 300);
+}
+
+/// The owning partition decoder the offset-index decoder replaced: one
+/// std::string per key and value. Kept as the acceptance reference.
+std::optional<kv::Partition> owning_decode_partition(BytesView data) {
+  wire::Reader r(data);
+  const std::uint32_t count = r.get_u32();
+  if (!r.ok() || count > (1u << 20)) return std::nullopt;
+  kv::Partition p;
+  p.reserve(std::min<std::size_t>(count, r.remaining() / 16 + 1));
+  for (std::uint32_t k = 0; k < count && r.ok(); ++k) {
+    kv::PartitionEntry e;
+    e.key = to_string(r.get_bytes_view());
+    e.value = to_string(r.get_bytes_view());
+    e.seq = r.get_u64();
+    if (!r.ok()) return std::nullopt;
+    if (!p.empty() && e.key <= p.back().key) return std::nullopt;
+    p.push_back(std::move(e));
+  }
+  if (!r.ok() || !r.exhausted()) return std::nullopt;
+  return p;
+}
+
+/// Both decoders on `data`: the same verdict, and on acceptance the same
+/// entries. Returns the verdict.
+bool expect_same_partition_decode(BytesView data, const std::string& what) {
+  const auto want = owning_decode_partition(data);
+  const auto got = kv::decode_partition(data);
+  EXPECT_EQ(got.has_value(), want.has_value()) << what;
+  if (!got.has_value() || !want.has_value()) return false;
+  EXPECT_EQ(got->size(), want->size()) << what;
+  for (std::size_t i = 0; i < std::min(got->size(), want->size()); ++i) {
+    const kv::PartitionView::EntryRef e = (*got)[i];
+    EXPECT_EQ(e.key, (*want)[i].key) << what << " entry " << i;
+    EXPECT_EQ(e.value, (*want)[i].value) << what << " entry " << i;
+    EXPECT_EQ(e.seq, (*want)[i].seq) << what << " entry " << i;
+  }
+  return true;
+}
+
+TEST(WireFuzz, PartitionViewDecoderAcceptsExactlyWhatTheOwningDecoderDid) {
+  // Valid partitions (empty keys and values included) under truncation at
+  // every length, every single-bit flip, and reordered or duplicated
+  // entries; then raw garbage, half of it with a small plausible count.
+  int flips_accepted = 0;
+  for (std::uint64_t seed : {4u, 44u, 444u}) {
+    Rng rng(seed);
+    for (int trial = 0; trial < 10; ++trial) {
+      std::map<std::string, std::pair<std::string, std::uint64_t>> m;
+      for (std::size_t k = rng.next_below(7); k > 0; --k) {
+        std::string key = rng.next_below(8) == 0 ? "" : to_string(random_bytes(rng, 6));
+        m[key] = {to_string(random_bytes(rng, 12)), rng.next_u64()};
+      }
+      kv::Partition p;
+      for (const auto& [key, vs] : m) p.push_back(kv::PartitionEntry{key, vs.first, vs.second});
+      const Bytes full = kv::encode_partition(p);
+      ASSERT_TRUE(expect_same_partition_decode(full, "intact"));
+      for (std::size_t len = 0; len < full.size(); ++len) {
+        EXPECT_FALSE(expect_same_partition_decode(BytesView(full.data(), len), "prefix"));
+      }
+      for (std::size_t bit = 0; bit < full.size() * 8; ++bit) {
+        Bytes mutated = full;
+        mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        flips_accepted += expect_same_partition_decode(mutated, "bit " + std::to_string(bit));
+      }
+      Bytes padded = full;
+      padded.push_back(0);
+      EXPECT_FALSE(expect_same_partition_decode(padded, "trailing byte"));
+      if (p.size() >= 2) {
+        kv::Partition swapped = p;
+        std::swap(swapped[0], swapped[1]);
+        EXPECT_FALSE(expect_same_partition_decode(kv::encode_partition(swapped), "out of order"));
+        kv::Partition dup = p;
+        dup.insert(dup.begin() + 1, dup[0]);
+        EXPECT_FALSE(expect_same_partition_decode(kv::encode_partition(dup), "duplicate key"));
+      }
+    }
+    for (int trial = 0; trial < 4000; ++trial) {
+      Bytes junk = random_bytes(rng, 160);
+      if (junk.size() >= 4 && rng.next_below(2)) {
+        junk[0] = static_cast<std::uint8_t>(rng.next_below(4));
+        junk[1] = junk[2] = junk[3] = 0;
+      }
+      expect_same_partition_decode(junk, "garbage");
+    }
+  }
+  EXPECT_GT(flips_accepted, 0) << "some flips (of value or seq bytes) must still decode";
+  // The entry cap: a count past 2^20 is refused before any entry is read.
+  Bytes huge(4);
+  huge[2] = 0x10;
+  huge[0] = 1;  // 2^20 + 1
+  EXPECT_FALSE(expect_same_partition_decode(huge, "count past the cap"));
+}
+
 TEST(WireFuzz, KvMapCodecRejectsTruncationFlipsToCanonicalOnly) {
   using kv::decode_map;
   using kv::encode_map;

@@ -35,6 +35,12 @@ GATES = [
     # single-key put do not scale with the keyspace.
     ("wire_delta", "BM_WirePut/16384/1", "submit_bytes_per_op", "<=",
      ("BM_WirePut/256/1", "submit_bytes_per_op", 4)),
+    # D12 (PERF.md "Zero-copy verified partitions"): a reader whose base is
+    # 16 records old gets splices, not the ~33 KB register: every read
+    # reply stays under a tenth of the value.
+    ("wire_delta", "BM_WireAgedBase/3072/16", "spliced_share", "==", 1.0),
+    ("wire_delta", "BM_WireAgedBase/3072/16", "reply_bytes_per_msg", "<=",
+     ("BM_WireAgedBase/3072/16", "value_bytes", 0.1)),
     # D7 (PERF.md "Crash recovery & tail latency"): the seeded kill/restart
     # scenario answers every op with no fail_i, keeps p99 under the SLO,
     # and recovery from WAL + verified snapshot is far cheaper than the
