@@ -94,7 +94,7 @@ Bytes encode_partition(const Partition& p);
 /// bytes stay where the verifier left them (shared, never copied) and
 /// each entry records where its key and value sit. Copying a view is a
 /// refcount bump plus the index; an entry's views stay valid as long as
-/// any copy of the PartitionView (or of its bytes()) is alive.
+/// any copy of the PartitionView is alive.
 class PartitionView {
  public:
   /// One entry, viewed (valid while any copy of the PartitionView is).
